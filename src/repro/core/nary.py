@@ -278,9 +278,9 @@ class NaryPJoin(Operator):
     def _covered_by_others(self, side: int):
         """The n-ary purge probe: all *other* streams' punctuations cover.
 
-        Drives the punctuation-aware eviction policy with the same rule
-        :meth:`_purge_all` applies, so the policy prefers exactly the
-        tuples the next purge run would reclaim.
+        :meth:`_purge_all` purges by it, and it drives the
+        punctuation-aware eviction policy, so the policy prefers exactly
+        the tuples the next purge run would reclaim.
         """
         stores = [
             self.sides[s].store for s in range(self.n_inputs) if s != side
@@ -426,18 +426,15 @@ class NaryPJoin(Operator):
         scanned = 0
         removed_total = 0
         for side in self.purge_order:
-            others = [s for s in range(self.n_inputs) if s != side]
-            if any(len(self.sides[s].store) == 0 for s in others):
-                scanned += self.sides[side].memory_size
-                continue
             scanned += self.sides[side].memory_size
-
-            def covered_by_all(entry) -> bool:
-                return all(
-                    self.sides[s].covers(entry.join_value) for s in others
-                )
-
-            removed = self.sides[side].table.remove_where(covered_by_all)
+            if any(
+                len(self.sides[s].store) == 0
+                for s in range(self.n_inputs) if s != side
+            ):
+                continue
+            removed = self.sides[side].table.remove_covered(
+                self._covered_by_others(side)
+            )
             for entry in removed:
                 self.sides[side].discard_entry(entry)
             removed_total += len(removed)

@@ -6,9 +6,11 @@ once the punctuation set of stream B covers it, and vice versa.  The
 purge threshold is reached) — is decided by the monitor; this module
 implements one purge *run*.
 
-A purge run scans the memory portion of a state (the virtual cost model
-charges for that scan, which is exactly the overhead the paper trades
-against probing savings).  A covered tuple is discarded outright unless
+A purge run retires whole join values: coverage is tested once per
+distinct join value in the state, and every covered value's entry list
+is dropped at once.  The virtual cost model still charges a scan of the
+whole memory portion, which is exactly the overhead the paper trades
+against probing savings.  A covered tuple is discarded outright unless
 the opposite stream's same hash bucket has a disk-resident portion that
 the tuple has not yet joined with; then it moves to the purge buffer,
 to be finally discarded by the disk-join component.
@@ -18,8 +20,6 @@ just to throw them away would waste I/O).
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.core.state import JoinStateSide
 
@@ -66,25 +66,7 @@ def purge_side(
     scanned = victim.memory_size
     if scanned == 0 or len(opposite.store) == 0:
         return PurgeResult(scanned=scanned)
-    covers = opposite.store.covers_value
-    # The punctuation store does not change during one run, so the
-    # coverage verdict is memoized per distinct join value — states
-    # hold many tuples per value, and the per-entry pattern-match is
-    # the purge scan's hot spot.  (The virtual cost model still charges
-    # for the full scan; this only cuts wall time.)
-    verdicts: dict = {}
-
-    def is_covered(entry: Any) -> bool:
-        value = entry.join_value
-        try:
-            verdict = verdicts.get(value)
-        except TypeError:  # unhashable join value: no memoization
-            return covers(value)
-        if verdict is None:
-            verdict = verdicts[value] = covers(value)
-        return verdict
-
-    removed = victim.table.remove_where(is_covered)
+    removed = victim.table.remove_covered(opposite.store.covers_value)
     discarded = 0
     buffered = 0
     for entry in removed:

@@ -109,8 +109,8 @@ class PunctuationAwarePolicy(EvictionPolicy):
                 covered = 0
             else:
                 covered = sum(
-                    1 for entry in partition.iter_memory()
-                    if covers(entry.join_value)
+                    len(entries) for value, entries in partition.memory.items()
+                    if covers(value)
                 )
             key = (covered, partition.memory_count,
                    -registration.order, -partition.index)
@@ -149,8 +149,8 @@ class SkewAwarePolicy(EvictionPolicy):
         best_key = None
         for registration, partition in candidates:
             heat = sum(
-                sketch.estimate(entry.join_value)
-                for entry in partition.iter_memory()
+                sketch.estimate(value) * len(entries)
+                for value, entries in partition.memory.items()
             )
             # Coldest first; break heat ties toward the biggest write
             # (more budget reclaimed per spill), then deterministically.

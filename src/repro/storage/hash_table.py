@@ -8,6 +8,7 @@ seeded experiment produces the identical event trace every run.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple as PyTuple
 
@@ -138,22 +139,28 @@ class PartitionedHashTable:
         self.memory_count -= len(removed)
         return removed
 
-    def remove_where(
-        self, predicate: Callable[[StateEntry], bool]
-    ) -> List[StateEntry]:
-        """Drop and return memory entries satisfying *predicate*.
+    def remove_covered(self, covered: Callable[[Any], bool]) -> List[StateEntry]:
+        """Drop and return every entry whose join value is *covered*.
 
-        Governor-demoted cold entries are swept too: they are logically
-        memory-resident, so a purge that covers them reclaims them
-        without ever faulting them back in.
+        Purge retires whole join values, so each bucket's covered value
+        lists are popped from its memory dict without touching their
+        entries.  Governor-demoted cold entries are swept too: they are
+        logically memory-resident, so a purge that covers them reclaims
+        them without ever faulting them back in.  *covered* is asked at
+        most once per distinct value; the result lists entries bucket by
+        bucket, memory entries in dict order, then cold entries.
         """
         removed: List[StateEntry] = []
+        # Only a bucket with a cold tier can meet a value twice.
+        memo = functools.lru_cache(maxsize=None)(covered)
         for partition in self.partitions:
-            from_memory = partition.remove_memory_where(predicate)
-            self.memory_count -= len(from_memory)
-            removed.extend(from_memory)
+            test = memo if partition.cold else covered
+            for value in [v for v in partition.memory if test(v)]:
+                from_memory = partition.remove_memory_value(value)
+                self.memory_count -= len(from_memory)
+                removed.extend(from_memory)
             if partition.cold:
-                removed.extend(partition.remove_cold_where(predicate))
+                removed.extend(partition.remove_cold_values(memo))
         return removed
 
     # ------------------------------------------------------------------

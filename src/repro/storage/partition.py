@@ -129,26 +129,6 @@ class HybridPartition:
         self.memory_count -= len(entries)
         return entries
 
-    def remove_memory_where(
-        self, predicate: Callable[[StateEntry], bool]
-    ) -> List[StateEntry]:
-        """Drop and return memory entries satisfying *predicate*."""
-        removed: List[StateEntry] = []
-        for value in list(self.memory):
-            entries = self.memory[value]
-            keep = []
-            for entry in entries:
-                if predicate(entry):
-                    removed.append(entry)
-                else:
-                    keep.append(entry)
-            if keep:
-                self.memory[value] = keep
-            else:
-                del self.memory[value]
-        self.memory_count -= len(removed)
-        return removed
-
     # ------------------------------------------------------------------
     # Cold portion (governor paging; ``dts`` never touched here)
     # ------------------------------------------------------------------
@@ -192,13 +172,14 @@ class HybridPartition:
     def iter_cold(self) -> Iterator[StateEntry]:
         return iter(self.cold)
 
-    def remove_cold_where(
-        self, predicate: Callable[[StateEntry], bool]
-    ) -> List[StateEntry]:
-        """Drop and return cold entries satisfying *predicate*."""
-        removed = [e for e in self.cold if predicate(e)]
+    def remove_cold_values(self, covered: Callable[[Any], bool]) -> List[StateEntry]:
+        """Drop and return cold entries whose join value is *covered*."""
+        removed: List[StateEntry] = []
+        kept: List[StateEntry] = []
+        for entry in self.cold:
+            (removed if covered(entry.join_value) else kept).append(entry)
         if removed:
-            self.cold = [e for e in self.cold if not predicate(e)]
+            self.cold = kept
         return removed
 
     # ------------------------------------------------------------------

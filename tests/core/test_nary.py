@@ -140,6 +140,41 @@ class TestPurging:
         assert join.tuples_dropped_on_fly == 1
 
 
+class TestPurgeCompleteness:
+    """Oracle: once every other stream has punctuated v, a purge run
+    leaves no v entry in the side's memory or cold tier."""
+
+    @pytest.mark.parametrize("side", [0, 1, 2])
+    def test_covered_value_leaves_memory_and_cold(self, engine, joined, side):
+        join, _ = joined()
+        state = join.sides[side]
+        table = state.table
+        n = table.n_partitions
+        keys = [1, 1 + n, 2, 1, 3, 1 + n, 1, 2 + n]  # 1 and 1+n share a bucket
+        for i, key in enumerate(keys):
+            state.insert(tup(side, key, i), key, float(i))
+        table.demote_partition(table.partition_for(1))
+        for i, key in enumerate([1, 1 + n, 1], start=len(keys)):
+            state.insert(tup(side, key, i), key, float(i))
+        others = [s for s in range(3) if s != side]
+        for other in others:
+            join.sides[other].add_punctuation(punct(other, 1))
+        # Only one other stream promises 2: its entries must stay.
+        join.sides[others[0]].add_punctuation(punct(others[0], 2))
+
+        def tiers():
+            return list(table.iter_memory()), list(table.iter_cold())
+
+        memory, cold = tiers()
+        assert any(e.join_value == 1 for e in cold)
+        join._purge_all()
+        assert tiers() == (
+            [e for e in memory if e.join_value != 1],
+            [e for e in cold if e.join_value != 1],
+        )
+        assert join.tuples_purged == keys.count(1) + 2
+
+
 class TestPropagation:
     def test_propagates_on_count_threshold(self, engine, joined):
         join, sink = joined(

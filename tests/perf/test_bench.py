@@ -116,8 +116,28 @@ class TestComparisonGate:
         assert cmp["workloads"]["fig5_pjoin"]["note"] == "no baseline case"
 
 
+class FixedStepClock:
+    """Stands in for the ``time`` module ``repro.perf.bench`` reads:
+    ``perf_counter`` advances a fixed step per call, so every timed run
+    measures the same wall time however loaded the host is."""
+
+    def __init__(self, step=0.5):
+        self.now = 0.0
+        self.step = step
+
+    def perf_counter(self):
+        self.now += self.step
+        return self.now
+
+    def time(self):
+        return 1_700_000_000.0
+
+
 class TestBenchCli:
-    def test_writes_report_and_compares(self, tmp_path):
+    def test_writes_report_and_compares(self, tmp_path, monkeypatch):
+        import repro.perf.bench as bench
+
+        monkeypatch.setattr(bench, "time", FixedStepClock())
         out = tmp_path / "bench.json"
         baseline = tmp_path / "baseline.json"
         rc = bench_main([

@@ -53,14 +53,15 @@ class TestHybridPartition:
         assert part.memory_count == 1
         assert part.probe_memory(1) == []
 
-    def test_remove_memory_where(self):
+    def test_remove_cold_values(self):
         part = HybridPartition(0)
-        part.insert(entry(1, ts=1.0))
-        part.insert(entry(1, ts=5.0))
-        removed = part.remove_memory_where(lambda e: e.ats < 2.0)
-        assert len(removed) == 1
-        assert part.memory_count == 1
-        assert len(part.probe_memory(1)) == 1
+        for key, ts in [(1, 1.0), (2, 2.0), (1, 3.0), (3, 4.0)]:
+            part.insert(entry(key, ts=ts))
+        part.demote()
+        removed = part.remove_cold_values(lambda value: value == 1)
+        assert [e.ats for e in removed] == [1.0, 3.0]
+        assert [e.ats for e in part.iter_cold()] == [2.0, 4.0]
+        assert all(e.in_memory for e in removed)  # paging never stamps dts
 
     def test_spill_moves_everything_and_stamps_dts(self):
         part = HybridPartition(0)
