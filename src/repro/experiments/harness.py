@@ -79,7 +79,7 @@ _ACTIVE_SKEW: Optional[Any] = None
 def skewed(spec: Optional[Any]) -> Iterator[None]:
     """Attach the skew layer to every stock PJoin built in this block.
 
-    The CLI's ``repro skew`` and the skew-sweep figure use this to
+    The ``skew`` check suite and the skew-sweep figure use this to
     re-run unmodified experiment presets skew-adaptively: *spec* is a
     :class:`~repro.skew.manager.SkewSpec`; :func:`pjoin_factory`
     consults it when building (plain or sharded).  ``skewed(None)``

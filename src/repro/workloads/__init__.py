@@ -11,8 +11,8 @@ punctuations".  This package reproduces it:
   tuples/punctuation, per-stream asymmetric rates, seeded determinism;
 * :mod:`~repro.workloads.auction` — the running example: an online
   auction's ``Open`` and ``Bid`` streams with per-item punctuations;
-* :mod:`~repro.workloads.reference` — oracle results (full join, window
-  join) computed directly from schedules, for tests and examples.
+* :mod:`~repro.workloads.reference` — oracle results (full join, n-way
+  join, window join) computed directly from schedules, for tests and examples.
 """
 
 from repro.workloads.spec import WorkloadSpec
@@ -41,6 +41,7 @@ from repro.workloads.faults import (
 )
 from repro.workloads.reference import (
     reference_join_multiset,
+    reference_nary_join_multiset,
     reference_window_join_multiset,
 )
 
@@ -66,5 +67,6 @@ __all__ = [
     "drop_random_punctuations",
     "delay_punctuations",
     "reference_join_multiset",
+    "reference_nary_join_multiset",
     "reference_window_join_multiset",
 ]

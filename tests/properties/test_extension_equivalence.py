@@ -3,13 +3,12 @@
 * WindowedPJoin must equal the *window-join oracle* for any workload:
   punctuation purging and window expiry may each remove state, but
   neither may cost a single in-window result.
-* NaryPJoin must equal a nested-loop three-way oracle for any random
+* NaryPJoin must equal the n-way reference oracle for any random
   interleaving, purge threshold and propagation setting.
 """
 
 import random
 from collections import Counter
-from itertools import product
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -23,7 +22,10 @@ from repro.sim.costs import CostModel
 from repro.tuples.schema import Schema
 from repro.tuples.tuple import Tuple
 from repro.workloads.generator import generate_workload
-from repro.workloads.reference import reference_window_join_multiset
+from repro.workloads.reference import (
+    reference_nary_join_multiset,
+    reference_window_join_multiset,
+)
 from repro.workloads.spec import WorkloadSpec
 
 SETTINGS = settings(
@@ -105,18 +107,6 @@ def make_nary_workload(seed, n_keys, tuples_per_stream):
     return schedules
 
 
-def nary_oracle(schedules):
-    streams = [
-        [item for _t, item in schedule if isinstance(item, Tuple)]
-        for schedule in schedules
-    ]
-    return Counter(
-        a.values + b.values + c.values
-        for a, b, c in product(*streams)
-        if a.values[0] == b.values[0] == c.values[0]
-    )
-
-
 @SETTINGS
 @given(
     seed=st.integers(0, 100_000),
@@ -141,4 +131,6 @@ def test_nary_pjoin_equals_oracle(seed, n_keys, purge_threshold, drop):
     for port, schedule in enumerate(schedules):
         plan.add_source(schedule, join, port=port)
     plan.run()
-    assert Counter(t.values for t in sink.results) == nary_oracle(schedules)
+    assert Counter(t.values for t in sink.results) == reference_nary_join_multiset(
+        schedules, NARY_SCHEMAS, ["key"] * 3
+    )

@@ -19,6 +19,7 @@ from repro.query.plan import QueryPlan
 from repro.sim.costs import CostModel
 from repro.tuples.schema import Schema
 from repro.tuples.tuple import Tuple
+from repro.workloads.reference import reference_join_multiset
 
 SCHEMA_A = Schema.of("key", "a", name="A")
 SCHEMA_B = Schema.of("key", "b", name="B")
@@ -64,19 +65,6 @@ def run(make_join, schedules):
     return join, sink
 
 
-def oracle(schedules):
-    tuples_b = [i for _t, i in schedules[1] if isinstance(i, Tuple)]
-    by_key = {}
-    for tup in tuples_b:
-        by_key.setdefault(tup["key"], []).append(tup)
-    result = Counter()
-    for _t, item in schedules[0]:
-        if isinstance(item, Tuple):
-            for tup in by_key.get(item["key"], []):
-                result[item.values + tup.values] += 1
-    return result
-
-
 @pytest.mark.parametrize("n_partitions", [1, 3, 32])
 def test_pjoin_exact_on_string_keys(n_partitions):
     schedules, keys, per_key = make_string_key_workload()
@@ -88,7 +76,9 @@ def test_pjoin_exact_on_string_keys(n_partitions):
         )
 
     join, sink = run(make, schedules)
-    assert Counter(dict(sink.result_multiset())) == oracle(schedules)
+    assert Counter(dict(sink.result_multiset())) == reference_join_multiset(
+        *schedules, SCHEMA_A, SCHEMA_B
+    )
     assert sink.tuple_count == len(keys) * per_key * per_key
     assert join.tuples_purged > 0  # punctuations worked on string keys
 
@@ -104,7 +94,9 @@ def test_xjoin_exact_on_string_keys_with_spill():
 
     join, sink = run(make, schedules)
     assert join.spills > 0
-    assert Counter(dict(sink.result_multiset())) == oracle(schedules)
+    assert Counter(dict(sink.result_multiset())) == reference_join_multiset(
+        *schedules, SCHEMA_A, SCHEMA_B
+    )
 
 
 def test_string_key_placement_is_process_stable():

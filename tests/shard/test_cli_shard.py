@@ -1,35 +1,6 @@
-"""The ``repro shard`` command and the ``--shards`` experiment flag."""
+"""The ``--shards`` experiment flag."""
 
 from repro.cli import main
-
-
-class TestShardCommand:
-    def test_equivalence_check_passes(self, capsys):
-        code = main([
-            "shard", "--tuples", "500", "--purge-threshold", "1",
-            "--shards", "1,2", "--backend", "both", "--propagate", "--check",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "unsharded" in out
-        assert "K=1" in out and "K=2" in out
-        assert "MISMATCH" not in out
-        assert "check passed" in out
-
-    def test_sim_backend_only(self, capsys):
-        code = main(["shard", "--tuples", "300", "--shards", "2"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "sim" in out
-        assert " mp " not in out
-
-    def test_bad_shard_list_rejected(self, capsys):
-        code = 0
-        try:
-            code = main(["shard", "--shards", "0"])
-        except SystemExit as exc:  # argparse exits on bad type
-            code = exc.code
-        assert code == 2
 
 
 class TestFiguresShardFlag:

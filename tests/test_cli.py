@@ -141,11 +141,6 @@ class TestPlan:
         assert "boundaries" in out
         assert "probe order" in out
 
-    def test_check_verifies_equivalence(self, capsys):
-        code = main(["plan", "nary_uniform", "--scale", "0.01", "--check"])
-        assert code == 0
-        assert "reproduced" in capsys.readouterr().out
-
     def test_explain_prints_candidate_tables(self, capsys):
         code = main(["plan", "nary_uniform", "--scale", "0.01", "--explain"])
         assert code == 0
