@@ -62,7 +62,11 @@ from repro.workloads.generator import GeneratedWorkload
 
 
 class RescalePlan:
-    """A parsed ``K1:K2@t`` rescale request."""
+    """A request to move from *n_before* to *n_after* shards at *at_ts*.
+
+    The move happens at the first punctuation-cover boundary at or after
+    *at_ts*; ``repr`` shows it as ``K1:K2@t``.
+    """
 
     __slots__ = ("n_before", "n_after", "at_ts")
 
@@ -76,20 +80,6 @@ class RescalePlan:
         self.n_before = n_before
         self.n_after = n_after
         self.at_ts = at_ts
-
-    @classmethod
-    def parse(cls, text: str) -> "RescalePlan":
-        """Parse the text form ``K1:K2@t`` (e.g. ``2:4@500``)."""
-        try:
-            counts, at = text.split("@", 1)
-            before, after = counts.split(":", 1)
-            return cls(int(before), int(after), float(at))
-        except (ValueError, RecoveryError) as exc:
-            if isinstance(exc, RecoveryError):
-                raise
-            raise RecoveryError(
-                f"malformed rescale spec {text!r}; expected K1:K2@t"
-            ) from exc
 
     def __repr__(self) -> str:
         return f"RescalePlan({self.n_before}:{self.n_after}@{self.at_ts:g})"

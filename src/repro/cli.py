@@ -21,11 +21,10 @@ Commands:
 * ``check`` — the CI gates: run the oracle-judged suites of
   :mod:`repro.verify` (memory, skew, shard, recovery, plan, chaos) and
   fail on an oracle mismatch, an idle layer or golden drift;
-* ``bench`` — the wall-clock benchmark-regression harness;
 * ``profile`` — per-layer wall-time attribution with latency histograms
   and flame-graph exports.
 
-``figures``, ``demo`` and ``bench`` accept ``--memory-budget`` /
+``figures`` and ``demo`` accept ``--memory-budget`` /
 ``--eviction-policy`` to attach the memory governor (budgeted join
 state with spill/fault-back) to every join.
 
@@ -90,7 +89,7 @@ def _budget_type(text: str) -> float:
 
 
 def _add_memory_args(parser: argparse.ArgumentParser) -> None:
-    """The memory-governor flags shared by figures/demo/bench."""
+    """The memory-governor flags shared by figures and demo."""
     parser.add_argument(
         "--memory-budget", type=_budget_type, default=None, metavar="BUDGET",
         help="warm join-state budget: a tuple count, bytes with a "
@@ -112,15 +111,6 @@ def _add_batch_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fastpath_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-fastpath", action="store_true",
-        help="disable the specialized hot-path closures and run every "
-             "join through the layered dispatch (results are "
-             "byte-identical; only wall-clock time changes)",
-    )
-
-
 def _add_planner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--planner", choices=("static", "adaptive"), default="static",
@@ -129,18 +119,6 @@ def _add_planner_args(parser: argparse.ArgumentParser) -> None:
              "to unplanned runs); 'adaptive' re-optimizes the order at "
              "punctuation-aligned purge boundaries",
     )
-
-
-@contextlib.contextmanager
-def _maybe_no_fastpath(disabled: bool):
-    """Enter ``fastpath.disabled()`` when ``--no-fastpath`` was given."""
-    if not disabled:
-        yield
-        return
-    from repro.operators import fastpath
-
-    with fastpath.disabled():
-        yield
 
 
 def _planner_context(args: argparse.Namespace):
@@ -222,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_memory_args(figures_cmd)
     _add_batch_args(figures_cmd)
-    _add_fastpath_args(figures_cmd)
     _add_planner_args(figures_cmd)
     figures_cmd.set_defaults(func=cmd_figures)
 
@@ -244,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_memory_args(demo_cmd)
     _add_batch_args(demo_cmd)
-    _add_fastpath_args(demo_cmd)
     demo_cmd.set_defaults(func=cmd_demo)
 
     _add_plan_parser(sub)
@@ -252,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_parser(sub)
     _add_metrics_parser(sub)
     _add_chaos_parser(sub)
-    _add_bench_parser(sub)
     _add_profile_parser(sub)
 
     obs_cmd = sub.add_parser(
@@ -310,7 +285,6 @@ def _add_plan_parser(sub) -> None:
         "--explain", action="store_true",
         help="print the per-candidate cost table behind every decision",
     )
-    _add_fastpath_args(plan_cmd)
     plan_cmd.set_defaults(func=cmd_plan)
 
 
@@ -340,11 +314,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     # visible against the fixed per-tuple overhead.
     cost_model = CostModel().with_overrides(probe_per_candidate=0.04)
     planner = PlannerSpec(mode="adaptive", reopt_interval=args.reopt_interval)
-    with _maybe_no_fastpath(getattr(args, "no_fastpath", False)):
-        adaptive = run_nary_experiment(
-            workload, config=config, planner=planner,
-            cost_model=cost_model, label="adaptive",
-        )
+    adaptive = run_nary_experiment(
+        workload, config=config, planner=planner,
+        cost_model=cost_model, label="adaptive",
+    )
     reopt = adaptive.join.reoptimizer
     order_names = lambda order: "->".join(names[i] for i in order)  # noqa: E731
     initial = planner.initial_order or tuple(range(len(names)))
@@ -559,24 +532,6 @@ def _add_chaos_parser(sub) -> None:
     chaos_cmd.set_defaults(func=cmd_chaos)
 
 
-def _add_bench_parser(sub) -> None:
-    bench_cmd = sub.add_parser(
-        "bench",
-        help="run the wall-clock benchmark-regression harness and write "
-             "a BENCH_<rev>.json report",
-        description="Runs pinned paper-scale workloads, measures wall "
-                    "seconds / events per second / peak RSS, writes a "
-                    "BENCH_<rev>.json report, and compares against the "
-                    "committed baseline (benchmarks/bench_baseline.json).",
-    )
-    # Lazy import keeps `repro --help` cheap; the parser args live with
-    # the harness so tools/bench.py shares them.
-    from repro.perf.bench import add_bench_args, cmd_bench
-
-    add_bench_args(bench_cmd)
-    bench_cmd.set_defaults(func=cmd_bench)
-
-
 def _add_profile_parser(sub) -> None:
     profile_cmd = sub.add_parser(
         "profile",
@@ -587,9 +542,8 @@ def _add_profile_parser(sub) -> None:
                     "shadowing the hot-path callables, prints the "
                     "per-layer overhead table and virtual-time latency "
                     "histograms (result latency, purge lag, probe "
-                    "cost), and optionally the unprofiled on/off "
-                    "feature grid (--grid), collapsed-stack/speedscope "
-                    "exports, or the CI profiling contract (--check).",
+                    "cost), and optionally collapsed-stack/speedscope "
+                    "exports or the CI profiling contract (--check).",
     )
     # Lazy import keeps `repro --help` cheap; the parser args live with
     # the runner so `python -m repro.profiling.runner` shares them.
@@ -670,11 +624,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
         # Same re-import problem for the batching() context.
         log.error("--batch-size cannot be combined with --jobs > 1")
         return 2
-    no_fastpath = getattr(args, "no_fastpath", False)
-    if no_fastpath and jobs > 1:
-        # Same re-import problem for the fastpath context.
-        log.error("--no-fastpath cannot be combined with --jobs > 1")
-        return 2
     planner_ctx = _planner_context(args)
     if planner_ctx is not None and jobs > 1:
         # The planning() context would not reach re-importing sweep
@@ -702,7 +651,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 log.error(str(exc))
                 return 2
-        stack.enter_context(_maybe_no_fastpath(no_fastpath))
         if planner_ctx is not None:
             stack.enter_context(planner_ctx)
         export_dir = getattr(args, "export", None)
@@ -748,9 +696,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 log.error(str(exc))
                 return 2
-        stack.enter_context(
-            _maybe_no_fastpath(getattr(args, "no_fastpath", False))
-        )
         pjoin = run_join_experiment(
             pjoin_factory(PJoinConfig(purge_threshold=args.purge_threshold)),
             workload,

@@ -5,8 +5,7 @@ workload inside one simulation, sampling the paper's two metrics —
 state size and cumulative output — over virtual time.
 :mod:`~repro.experiments.figures` parameterises one experiment per
 figure of the paper's Section 4 (plus the ablations from DESIGN.md);
-the benchmarks under ``benchmarks/`` are thin wrappers that run these
-presets and print their tables.
+``python -m repro figures`` runs these presets and prints their tables.
 """
 
 from repro.experiments.harness import (

@@ -1,9 +1,10 @@
 """JSON export of experiment results.
 
-Benchmarks archive their measurements so figures can be re-rendered,
-diffed across code changes, or plotted elsewhere without re-running the
-simulation.  The format is intentionally plain: a dict per run with the
-summary numbers and every sampled series.
+``python -m repro figures ... --export DIR`` archives each figure's
+measurements so figures can be re-rendered, diffed across code changes,
+or plotted elsewhere without re-running the simulation.  The format is
+intentionally plain: a dict per run with the summary numbers and every
+sampled series.
 """
 
 from __future__ import annotations

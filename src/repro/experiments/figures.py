@@ -5,8 +5,9 @@ parameters (tuple inter-arrival 2 ms, many-to-many join, the figure's
 punctuation inter-arrivals and purge thresholds), returns a
 :class:`FigureResult` holding the runs, and attaches *shape checks* —
 the qualitative claims the paper makes about that figure, evaluated
-against the measured data.  ``pytest benchmarks/`` prints the tables;
-``tests/experiments/`` asserts the checks at reduced scale.
+against the measured data.  ``python -m repro figures NAME`` prints the
+tables and exits 1 on a failed check; ``tests/experiments/`` asserts
+the checks at reduced scale.
 
 Absolute numbers differ from the paper (its substrate was a Java engine
 on a 2003 Pentium-IV; ours is a virtual-time cost model) but every

@@ -4,7 +4,7 @@ A :class:`~repro.metrics.collector.MetricsCollector` samples registered
 gauges (state sizes, output counters) at fixed virtual-time intervals —
 the time series behind every figure in the paper — and
 :mod:`~repro.metrics.report` renders them as ASCII tables and charts
-for the benchmark harness.
+for ``python -m repro figures``.
 """
 
 from repro.metrics.series import TimeSeries

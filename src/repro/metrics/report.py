@@ -1,8 +1,7 @@
 """Plain-text rendering of experiment results.
 
-The benchmark harness prints its figures as ASCII tables and charts so
-``pytest benchmarks/ --benchmark-only`` output reads like the paper's
-evaluation section.
+``python -m repro figures`` prints its figures as ASCII tables and
+charts so the output reads like the paper's evaluation section.
 """
 
 from __future__ import annotations

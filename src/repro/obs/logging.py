@@ -1,6 +1,6 @@
 """Structured logging for the CLI and harness paths.
 
-Diagnostic chatter (bench progress, skipped baselines, gate failures)
+Diagnostic chatter (progress, check failures, shape-check failures)
 used to go through bare ``print(..., file=sys.stderr)`` calls, which
 cannot be silenced, levelled or machine-parsed.  Every such path now
 logs through a child of the ``repro`` logger; the CLI's global

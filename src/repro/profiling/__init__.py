@@ -3,11 +3,10 @@
 Built on the :mod:`repro.obs.profile` scoped timers:
 
 * :mod:`~repro.profiling.presets` — pinned profiling workloads keyed
-  to the paper figures (and to the bench suite's cases);
+  to the paper figures;
 * :mod:`~repro.profiling.runner` — runs a preset with a chosen feature
   set (obs x resilience x governor x shard), renders the per-layer
-  overhead table, computes the on/off layer-cost matrix the bench
-  report embeds, and hosts the ``repro profile`` CLI;
+  overhead table and hosts the ``repro profile`` CLI;
 * :mod:`~repro.profiling.stacks` — collapsed-stack (FlameGraph) and
   speedscope exports of the per-site self times.
 """
@@ -22,7 +21,6 @@ from repro.profiling.presets import (
 from repro.profiling.runner import (
     ProfileRun,
     check_profile,
-    layer_cost_matrix,
     render_layer_table,
     run_profile,
 )
@@ -42,7 +40,6 @@ __all__ = [
     "ProfileRun",
     "run_profile",
     "check_profile",
-    "layer_cost_matrix",
     "render_layer_table",
     "collapsed_stacks",
     "save_collapsed",

@@ -1,15 +1,14 @@
 """Pinned profiling presets (workload + join under measurement).
 
-Each preset mirrors one of the bench suite's cases so the per-layer
-numbers line up with the wall-clock trajectory in ``BENCH_<rev>.json``:
-a seeded figure-style workload and the join the figure measures.
+Each preset is a seeded figure-style workload and the join the figure
+measures.
 
 A preset also declares which feature layers it can toggle.  The obs,
 governor and shard layers attach from the outside (tracer on the
 engine, ``governed(inf)``, ``sharding(1)``) and work for every preset;
 the resilience layer is a *config* choice (fault policy) that only the
-PJoin factory exposes, so XJoin/SHJ presets leave it out of their grid
-rather than pretending to toggle it.
+PJoin factory exposes, so XJoin/SHJ presets leave it out of their
+feature list rather than pretending to toggle it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.experiments.harness import (
 )
 from repro.workloads.generator import GeneratedWorkload, generate_workload
 
-#: The toggleable feature layers, in grid order.
+#: The toggleable feature layers, in canonical order.
 FEATURES: Tuple[str, ...] = ("obs", "resilience", "governor", "shard")
 
 

@@ -1,15 +1,8 @@
 """Run profiling presets and attribute hot-path cost per layer.
 
-Two measurements live here:
-
-* :func:`run_profile` — one preset, one feature set, with the scoped
-  timers attached: yields the per-layer exclusive wall times and the
-  virtual-time latency histograms (``repro profile``'s default view);
-* :func:`layer_cost_matrix` — the on/off feature grid, *unprofiled*:
-  each variant (baseline, each feature alone, all together) is timed
-  end-to-end, so the matrix reports what a layer costs with no
-  measurement shadows in the path.  ``repro bench --layer-matrix``
-  embeds this into ``BENCH_<rev>.json`` per commit.
+:func:`run_profile` runs one preset with one feature set and the scoped
+timers attached: it yields the per-layer exclusive wall times and the
+virtual-time latency histograms (``repro profile``'s view).
 
 The ``repro profile`` CLI (``cmd_profile``) also hosts the CI
 ``--check`` gate: profiling must not change the simulation (profiled
@@ -116,7 +109,7 @@ def normalize_features(
 
     ``all`` means every feature the preset can toggle; ``none`` (or an
     empty value) means the bare core path; otherwise a comma-separated
-    subset in grid order.
+    subset, returned in :data:`FEATURES` order.
     """
     if spec is None or spec == "all":
         return list(preset.features)
@@ -165,131 +158,6 @@ def run_profile(
         )
         wall = time.perf_counter() - begin
     return ProfileRun(preset, list(features), run, profiler, wall)
-
-
-# ---------------------------------------------------------------------------
-# The on/off layer-cost matrix (unprofiled wall times)
-# ---------------------------------------------------------------------------
-
-
-def layer_cost_matrix(
-    preset_name: str = "fig5_pjoin",
-    scale: float = DEFAULT_SCALE,
-    repeat: int = 1,
-    batch_sizes: Sequence[int] = (1,),
-) -> Dict[str, Any]:
-    """Wall-clock cost of each feature layer, measured by toggling it.
-
-    Variants: the bare baseline, each supported feature alone, and all
-    of them together.  Every variant keeps the fastest of *repeat*
-    runs; ``overhead_pct`` is relative to the baseline's wall time.
-    No profiler shadows are installed — the matrix measures the
-    features themselves, not the measurement.
-
-    *batch_sizes* adds a source micro-batching axis: the whole variant
-    grid is re-measured at each batch size (every run stays
-    byte-identical in outcome; only wall time moves).  The first batch
-    size fills the top-level ``variants`` (schema-compatible with the
-    single-axis matrix); when more than one size is given, the full
-    per-size grids land in ``batch_variants``.
-    """
-    preset = resolve_preset(preset_name)
-    workload = preset.workload(scale)
-    variant_features: Dict[str, List[str]] = {"none": []}
-    for feature in preset.features:
-        variant_features[feature] = [feature]
-    if len(preset.features) > 1:
-        variant_features["all"] = list(preset.features)
-
-    def measure_grid(batch: int) -> Dict[str, Dict[str, Any]]:
-        variants: Dict[str, Dict[str, Any]] = {}
-        baseline_wall: Optional[float] = None
-        for name, features in variant_features.items():
-            best: Optional[ProfileRun] = None
-            for _ in range(max(1, repeat)):
-                measured = run_profile(
-                    preset, scale, features, profile=False,
-                    workload=workload, batch_size=batch,
-                )
-                if best is None or measured.wall_s < best.wall_s:
-                    best = measured
-            assert best is not None
-            entry: Dict[str, Any] = {
-                "features": features,
-                "wall_s": round(best.wall_s, 4),
-                "events_per_s": round(best.events_per_s, 1),
-                **best.outcome(),
-            }
-            if name == "none":
-                baseline_wall = best.wall_s
-                entry["overhead_pct"] = 0.0
-            elif baseline_wall:
-                entry["overhead_pct"] = round(
-                    (best.wall_s - baseline_wall) / baseline_wall * 100.0, 2
-                )
-            else:
-                entry["overhead_pct"] = None
-            variants[name] = entry
-        return variants
-
-    sizes = [int(b) for b in batch_sizes] or [1]
-    if any(b < 1 for b in sizes):
-        raise ConfigError(f"batch sizes must be >= 1: {sizes}")
-    grids = {batch: measure_grid(batch) for batch in sizes}
-    matrix: Dict[str, Any] = {
-        "preset": preset.name,
-        "scale": scale,
-        "repeat": repeat,
-        "variants": grids[sizes[0]],
-    }
-    if sizes != [1]:
-        matrix["batch_sizes"] = sizes
-        matrix["batch_variants"] = {str(b): grids[b] for b in sizes}
-    return matrix
-
-
-def render_layer_matrix(
-    matrix: Dict[str, Any], diff: Optional[Dict[str, Any]] = None
-) -> str:
-    """The matrix as a table; *diff* adds a vs-baseline column."""
-    headers = ["variant", "wall s", "events/s", "overhead %"]
-    if diff is not None:
-        headers.append("vs baseline")
-    rows: List[List[Any]] = []
-    for name, entry in matrix["variants"].items():
-        overhead = entry.get("overhead_pct")
-        row: List[Any] = [
-            name,
-            f"{entry['wall_s']:.3f}",
-            f"{entry['events_per_s']:.0f}",
-            f"{overhead:+.1f}" if overhead is not None else "-",
-        ]
-        if diff is not None:
-            delta = diff.get(name, {}).get("delta_pct")
-            row.append(f"{delta:+.1f}pp" if delta is not None else "-")
-        rows.append(row)
-    title = f"layer-cost matrix ({matrix['preset']} @ scale {matrix['scale']:g})"
-    out = title + "\n" + render_table(headers, rows)
-    batch_variants = matrix.get("batch_variants")
-    if batch_variants:
-        batch_rows: List[List[Any]] = []
-        for batch, variants in batch_variants.items():
-            for name, entry in variants.items():
-                overhead = entry.get("overhead_pct")
-                batch_rows.append([
-                    name,
-                    batch,
-                    f"{entry['wall_s']:.3f}",
-                    f"{entry['events_per_s']:.0f}",
-                    f"{overhead:+.1f}" if overhead is not None else "-",
-                ])
-        out += ("\n\nmicro-batch axis (overhead % vs the same batch "
-                "size's bare core)\n")
-        out += render_table(
-            ["variant", "batch", "wall s", "events/s", "overhead %"],
-            batch_rows,
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,25 +303,10 @@ def add_profile_args(parser: argparse.ArgumentParser) -> None:
              f"comma-separated subset of {','.join(FEATURES)}",
     )
     parser.add_argument(
-        "--grid", action="store_true",
-        help="also run the unprofiled on/off feature grid and print the "
-             "layer-cost matrix",
-    )
-    parser.add_argument(
-        "--repeat", type=int, default=1,
-        help="grid repetitions per variant; fastest wall time kept",
-    )
-    parser.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
         help="admit source tuples in micro-batches of N per scheduler "
              "event for the profiled run (outcome is byte-identical to "
              "the default N=1; only wall time moves)",
-    )
-    parser.add_argument(
-        "--batch-sizes", default="1,16,64", metavar="LIST",
-        help="comma-separated micro-batch sizes for the --grid matrix; "
-             "each size re-measures the whole feature grid "
-             "(default %(default)s)",
     )
     parser.add_argument(
         "--out", type=Path, default=None, metavar="PATH",
@@ -490,16 +343,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         return 2
 
     batch_size = getattr(args, "batch_size", None)
-    try:
-        batch_sizes = [
-            int(part) for part in
-            getattr(args, "batch_sizes", "1").split(",") if part.strip()
-        ]
-    except ValueError:
-        log.error("--batch-sizes must be a comma-separated int list, "
-                  "got %r", args.batch_sizes)
-        return 2
-
     log.info("profiling %s (scale %g, features %s)",
              preset.name, args.scale, ",".join(features) or "none")
     profiled = run_profile(
@@ -516,22 +359,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print(render_layer_table(snapshot))
     print()
     print(render_histograms(snapshot))
-
-    matrix: Optional[Dict[str, Any]] = None
-    if args.grid:
-        log.info("running the on/off feature grid (repeat %d, "
-                 "batch sizes %s)", args.repeat,
-                 ",".join(str(b) for b in batch_sizes))
-        try:
-            matrix = layer_cost_matrix(
-                preset.name, args.scale, repeat=args.repeat,
-                batch_sizes=batch_sizes,
-            )
-        except ConfigError as exc:
-            log.error(str(exc))
-            return 2
-        print()
-        print(render_layer_matrix(matrix))
 
     if args.collapsed is not None or args.speedscope is not None:
         from repro.profiling.stacks import save_collapsed, save_speedscope
@@ -559,8 +386,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "manifest": profiled.run.manifest,
             "profile": snapshot,
         }
-        if matrix is not None:
-            report["layer_matrix"] = matrix
         args.out.write_text(json.dumps(report, indent=1) + "\n")
         print(f"\nwrote profile report: {args.out}")
 

@@ -17,7 +17,6 @@ from repro.shard.backend import (
     fork_available,
     run_shard_simulation,
     run_sharded_multiprocess,
-    warm_pool,
 )
 from repro.shard.merger import AlignedMerger, AlignmentLedger
 from repro.shard.operator import (
@@ -48,5 +47,4 @@ __all__ = [
     "sharded_pjoin",
     "sharded_shj",
     "sharded_xjoin",
-    "warm_pool",
 ]

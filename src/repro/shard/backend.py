@@ -19,15 +19,14 @@ Mirrors the PR 3 sweep runner's plan/worker/merge shape, but splits one
 
 Worker processes are forked, so shard payloads transfer by inheritance
 (no pickling of tuple schedules); each worker blocks on a pipe until
-released, which lets the benchmark harness start processes outside the
-timed window and time only the simulation work.  On platforms without
+released, so a wall clock around :meth:`ShardWorkerPool.run` times only
+the simulation work, not process start-up.  On platforms without
 ``fork`` the backend degrades to running the shard simulations
 sequentially in-process — same outcome, no parallelism.
 """
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 from typing import Any, Dict, List, Optional, Sequence, Tuple as PyTuple
 
@@ -293,35 +292,6 @@ class ShardWorkerPool:
                 proc.terminate()
         self._conns = []
         self._procs = []
-
-
-# One cached pool per benchmark configuration, closed at exit, so
-# ``repeat`` runs reuse warm workers and the spawn cost stays untimed.
-_POOL_CACHE: Dict[Any, ShardWorkerPool] = {}
-
-
-def warm_pool(
-    key: Any,
-    plan: ShardPlan,
-    config: Optional[PJoinConfig] = None,
-    keep_items: bool = False,
-    governor: Optional[GovernorSpec] = None,
-) -> ShardWorkerPool:
-    """Get (or fork) the cached worker pool for *key*."""
-    pool = _POOL_CACHE.get(key)
-    if pool is None:
-        pool = ShardWorkerPool(
-            plan, config=config, keep_items=keep_items, governor=governor
-        )
-        _POOL_CACHE[key] = pool
-    return pool
-
-
-@atexit.register
-def _close_pools() -> None:  # pragma: no cover - exit hook
-    for pool in _POOL_CACHE.values():
-        pool.close()
-    _POOL_CACHE.clear()
 
 
 def run_sharded_multiprocess(

@@ -4,7 +4,7 @@ One :class:`SimulatedDisk` is shared by all operators in a query plan.
 It does not hold tuple data itself (the hybrid partitions keep their
 disk-resident entries as tagged Python objects); it is the authority on
 what an I/O operation *costs* and the ledger of how much I/O an
-experiment performed.  The ablation benchmark A5 reads these counters to
+experiment performed.  The ablation A5 reads these counters to
 compare PJoin's and XJoin's disk traffic under tight memory thresholds.
 
 Transient faults

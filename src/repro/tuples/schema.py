@@ -10,7 +10,7 @@ Because schemas and fields are immutable they are also **interned**:
 structurally equal instances built through :meth:`Schema.of`,
 :meth:`Schema.project`, :meth:`Schema.concat` or :func:`intern_schema`
 resolve to one shared object per process.  Repeated operator builds
-(bench repeats, shard stacks, equivalence reruns) then share one schema
+(repeated runs, shard stacks, equivalence reruns) then share one schema
 instance instead of allocating a fresh field list each time, and the
 schema's hash is computed once and cached.
 """

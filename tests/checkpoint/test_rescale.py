@@ -38,19 +38,14 @@ def unsharded(workload, config):
 
 
 class TestRescalePlanParse:
-    def test_parses_cli_form(self):
-        plan = RescalePlan.parse("2:4@500")
-        assert (plan.n_before, plan.n_after, plan.at_ts) == (2, 4, 500.0)
-
-    @pytest.mark.parametrize("text", ["2:4", "two:4@5", "2@5", "2:4@x", ""])
-    def test_malformed_specs_raise(self, text):
+    @pytest.mark.parametrize(
+        "n_before,n_after,at_ts",
+        [(0, 2, 5.0), (2, 0, 5.0), (2, 2, -1.0)],
+        ids=["0:2@5", "2:0@5", "2:2@-1"],
+    )
+    def test_invalid_values_raise(self, n_before, n_after, at_ts):
         with pytest.raises(RecoveryError, match="rescale"):
-            RescalePlan.parse(text)
-
-    @pytest.mark.parametrize("text", ["0:2@5", "2:0@5", "2:2@-1"])
-    def test_invalid_values_raise(self, text):
-        with pytest.raises(RecoveryError):
-            RescalePlan.parse(text)
+            RescalePlan(n_before, n_after, at_ts)
 
 
 class TestRescaleEquivalence:

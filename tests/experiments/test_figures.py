@@ -3,7 +3,9 @@
 Fast smoke runs (small scale) check that every preset executes, labels
 its runs and renders a report; the heavier shape tests — the paper's
 qualitative claims — run a subset of figures at the scale at which the
-claims are meaningful.  The full-scale suite lives in ``benchmarks/``.
+claims are meaningful.  The full-scale runs are
+``python -m repro figures --all``, which exits 1 on any failed shape
+check.
 """
 
 import pytest

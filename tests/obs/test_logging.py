@@ -22,7 +22,7 @@ def teardown_function(_fn):
 
 class TestGetLogger:
     def test_names_are_namespaced(self):
-        assert get_logger("repro.perf.bench").name == "repro.perf.bench"
+        assert get_logger("repro.perf.parallel").name == "repro.perf.parallel"
         assert get_logger("custom").name == "repro.custom"
 
     def test_silent_by_default(self):

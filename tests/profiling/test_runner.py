@@ -1,4 +1,4 @@
-"""Profiling presets, the layer-cost matrix, the --check gate, the CLI."""
+"""Profiling presets, the --check gate, the CLI."""
 
 import json
 
@@ -13,11 +13,9 @@ from repro.profiling.presets import (
 )
 from repro.profiling.runner import (
     check_profile,
-    layer_cost_matrix,
     main as profile_main,
     normalize_features,
     render_histograms,
-    render_layer_matrix,
     render_layer_table,
     run_profile,
 )
@@ -103,29 +101,6 @@ class TestRunProfile:
                 feature
 
 
-class TestLayerCostMatrix:
-    def test_matrix_schema(self):
-        matrix = layer_cost_matrix("fig5_pjoin", scale=SCALE)
-        preset = resolve_preset("fig5_pjoin")
-        assert matrix["preset"] == "fig5_pjoin"
-        assert set(matrix["variants"]) == {"none", "all", *preset.features}
-        none = matrix["variants"]["none"]
-        assert none["overhead_pct"] == 0.0
-        for entry in matrix["variants"].values():
-            assert {"features", "wall_s", "events_per_s", "events",
-                    "results", "virtual_ms", "overhead_pct"} <= set(entry)
-        assert json.loads(json.dumps(matrix)) == matrix
-
-    def test_render_with_and_without_diff(self):
-        matrix = layer_cost_matrix("fig5_shj", scale=SCALE)
-        table = render_layer_matrix(matrix)
-        assert "layer-cost matrix" in table and "none" in table
-        diff = {"obs": {"delta_pct": 1.5}}
-        with_diff = render_layer_matrix(matrix, diff=diff)
-        assert "vs baseline" in with_diff
-        assert "+1.5pp" in with_diff
-
-
 class TestCheckGate:
     def test_check_passes_on_fig5(self):
         failures = check_profile(resolve_preset("fig5_pjoin"), SCALE,
@@ -180,11 +155,6 @@ class TestProfileCli:
         ])
         assert rc == 0
         assert "profile check passed" in capsys.readouterr().out
-
-    def test_grid_flag(self, capsys):
-        rc = profile_main(["fig5_shj", "--scale", str(SCALE), "--grid"])
-        assert rc == 0
-        assert "layer-cost matrix" in capsys.readouterr().out
 
     def test_unknown_preset_exits_2(self):
         assert profile_main(["not_a_preset"]) == 2

@@ -29,6 +29,23 @@ class TestFigures:
         assert main(["figures"]) == 2
         assert "nothing to run" in capsys.readouterr().err
 
+    def test_failed_shape_check_exits_1(self, monkeypatch, capsys):
+        import repro.cli
+        from repro.experiments.figures import Check
+
+        real = repro.cli.ALL_EXPERIMENTS["figure6"]
+
+        def failing(scale):
+            result = real(scale=scale)
+            result.checks.append(Check("deliberately false claim", False))
+            return result
+
+        monkeypatch.setitem(repro.cli.ALL_EXPERIMENTS, "figure6", failing)
+        assert main(["figures", "figure6", "--scale", "0.06"]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] deliberately false claim" in captured.out
+        assert "shape-check failures: ['figure6']" in captured.err
+
 
 class TestDemo:
     def test_demo_prints_comparison(self, capsys):
@@ -151,22 +168,3 @@ class TestPlan:
         assert main(["plan", "nosuch"]) == 2
         assert "unknown planner preset" in capsys.readouterr().err
 
-
-class TestFastpathFlag:
-    def test_demo_runs_without_fastpath(self, capsys):
-        code = main(
-            ["demo", "--tuples", "200", "--no-fastpath"]
-        )
-        assert code == 0
-        assert "XJoin" in capsys.readouterr().out
-
-    def test_figures_planner_with_jobs_falls_back_to_serial(self, capsys):
-        code = main(
-            [
-                "figures", "figure6", "--scale", "0.06",
-                "--planner", "adaptive", "--jobs", "2",
-            ]
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "falling back to a serial run" in err

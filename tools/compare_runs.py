@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""Compare two benchmark-report archives (regression tooling).
+"""Compare two figure-report archives (regression tooling).
 
-``pytest benchmarks/ --benchmark-only`` archives each figure's
-measurements as JSON under ``benchmarks/reports/``.  This tool diffs
-two such directories — e.g. reports saved before and after a change —
-and prints, per figure and variant, how the headline metrics moved.
+``python -m repro figures NAME ... --export DIR`` writes each figure's
+measurements as JSON under ``DIR``.  This tool diffs two such
+directories — e.g. exports saved before and after a change — and
+prints, per figure and variant, how the headline metrics moved.
 
 Usage:
     python tools/compare_runs.py OLD_DIR NEW_DIR [--threshold 0.05]
     python tools/compare_runs.py OLD_DIR NEW_DIR --counters
     python tools/compare_runs.py old_manifest.json new_manifest.json
-    python tools/compare_runs.py BENCH_old.json BENCH_new.json --bench
 
 With ``--counters`` the diff descends into each run's manifest (format
 version 2 reports) and compares the per-operator counter registries —
@@ -18,14 +17,6 @@ probes, matches, purged tuples, disk I/O, punctuation flow — instead of
 only the headline summary metrics.  Two bare manifest JSON files (as
 written by ``repro trace ... --manifest``) can also be compared
 directly; their counters are always diffed.
-
-With ``--bench`` the two arguments are wall-clock benchmark reports as
-written by ``repro bench`` (``BENCH_<rev>.json``); the diff covers wall
-time, events/s, and deterministic-outcome drift, gated by
-``--max-slowdown`` instead of ``--threshold``.  When both reports carry
-the per-layer overhead matrix (``repro bench --layer-matrix``, format 2)
-the table gains a "vs baseline" column showing how each feature layer's
-overhead moved; format-1 reports without the matrix compare as before.
 
 Exit status 1 when any metric moved more than the threshold (relative),
 so it can serve as a CI regression gate.
@@ -136,20 +127,6 @@ def compare_counters(old_dir: Path, new_dir: Path, threshold: float) -> int:
     return 1 if rows else 0
 
 
-def compare_bench(old_path: Path, new_path: Path, max_slowdown: float) -> int:
-    """Diff two ``repro bench`` reports (BENCH_<rev>.json files)."""
-    from repro.perf.bench import compare_reports, render_report
-
-    old_report = json.loads(old_path.read_text())
-    new_report = json.loads(new_path.read_text())
-    comparison = compare_reports(new_report, old_report,
-                                 max_slowdown=max_slowdown)
-    # render_report prints the current run's table plus the comparison
-    # block, which is exactly the diff view we want here.
-    print(render_report({**new_report, "comparison": comparison}))
-    return 0 if comparison["ok"] else 1
-
-
 def compare(old_dir: Path, new_dir: Path, threshold: float) -> int:
     old_figures = load_dir(old_dir)
     new_figures = load_dir(new_dir)
@@ -203,15 +180,7 @@ def main(argv=None) -> int:
     parser.add_argument("--counters", action="store_true",
                         help="diff per-operator manifest counters instead of "
                              "headline summary metrics")
-    parser.add_argument("--bench", action="store_true",
-                        help="treat the two arguments as repro bench reports "
-                             "(BENCH_<rev>.json) and diff wall-clock metrics")
-    parser.add_argument("--max-slowdown", type=float, default=1.25,
-                        help="with --bench: wall-time ratio beyond which a "
-                             "case fails the gate")
     args = parser.parse_args(argv)
-    if args.bench:
-        return compare_bench(args.old_dir, args.new_dir, args.max_slowdown)
     if args.old_dir.is_file() or args.new_dir.is_file():
         return compare_manifests(args.old_dir, args.new_dir, args.threshold)
     if args.counters:

@@ -110,7 +110,7 @@ where the optimum sits.
 All runs: many-to-many equi-join, Poisson tuple inter-arrival with mean
 2 ms per stream (the paper's setting), seeded and fully reproducible.
 Regenerate this file with `python tools/generate_experiments_md.py`;
-run individual figures with `pytest benchmarks/ --benchmark-only`.
+run individual figures with `python -m repro figures NAME`.
 
 Table 1 (the example event-listener registry) is reproduced as
 configuration, not measurement: `repro.core.registry.table1_registry()`
