@@ -11,8 +11,6 @@ Commands:
   print the span timeline; export Chrome trace JSON / JSONL / manifests;
 * ``metrics`` — run a workload or preset and print the per-operator
   counter registries from its run manifest;
-* ``obs`` — the observability group: ``obs trace`` and ``obs metrics``
-  are aliases of the two commands above;
 * ``chaos`` — run deterministic fault-injection scenarios (contract
   violations, disorder, disk faults, source stalls) under a chosen
   fault policy and print their resilience counter summaries;
@@ -57,7 +55,6 @@ from repro.errors import ConfigError
 from repro.experiments.ablations import ALL_ABLATIONS
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.harness import (
-    batching,
     governed,
     pjoin_factory,
     run_join_experiment,
@@ -99,15 +96,6 @@ def _add_memory_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--eviction-policy", choices=sorted(POLICIES), default="lru",
         help="governor eviction policy (default %(default)s)",
-    )
-
-
-def _add_batch_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="admit source tuples in micro-batches of N per scheduler "
-             "event (default 1); results are byte-identical to the "
-             "unbatched run, only wall-clock time changes",
     )
 
 
@@ -199,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
              "and run manifests) to DIR/<name>.json",
     )
     _add_memory_args(figures_cmd)
-    _add_batch_args(figures_cmd)
     _add_planner_args(figures_cmd)
     figures_cmd.set_defaults(func=cmd_figures)
 
@@ -220,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run both joins as K-shard stacks",
     )
     _add_memory_args(demo_cmd)
-    _add_batch_args(demo_cmd)
     demo_cmd.set_defaults(func=cmd_demo)
 
     _add_plan_parser(sub)
@@ -229,17 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metrics_parser(sub)
     _add_chaos_parser(sub)
     _add_profile_parser(sub)
-
-    obs_cmd = sub.add_parser(
-        "obs",
-        help="observability tools: span tracing and counter registries",
-        description="Observability tools built on the repro.obs layer: "
-                    "'obs trace' prints and exports span timelines, "
-                    "'obs metrics' prints per-operator counter registries.",
-    )
-    obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
-    _add_trace_parser(obs_sub)
-    _add_metrics_parser(obs_sub)
 
     return parser
 
@@ -609,7 +584,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
     jobs = getattr(args, "jobs", 1)
     shards = getattr(args, "shards", None)
     spec = _governor_spec(args)
-    batch_size = getattr(args, "batch_size", None)
     if shards is not None and jobs > 1:
         # Worker processes re-import the experiment module and would not
         # see the parent's sharding context.
@@ -619,10 +593,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
         # Same re-import problem: the governed() context would not reach
         # the sweep workers.
         log.error("--memory-budget cannot be combined with --jobs > 1")
-        return 2
-    if batch_size is not None and jobs > 1:
-        # Same re-import problem for the batching() context.
-        log.error("--batch-size cannot be combined with --jobs > 1")
         return 2
     planner_ctx = _planner_context(args)
     if planner_ctx is not None and jobs > 1:
@@ -645,12 +615,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
             stack.enter_context(sharding(shards))
         if spec is not None:
             stack.enter_context(governed(spec))
-        if batch_size is not None:
-            try:
-                stack.enter_context(batching(batch_size))
-            except ValueError as exc:
-                log.error(str(exc))
-                return 2
         if planner_ctx is not None:
             stack.enter_context(planner_ctx)
         export_dir = getattr(args, "export", None)
@@ -684,18 +648,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
     )
     shards = getattr(args, "shards", None)
     spec = _governor_spec(args)
-    batch_size = getattr(args, "batch_size", None)
     with contextlib.ExitStack() as stack:
         if shards is not None:
             stack.enter_context(sharding(shards))
         if spec is not None:
             stack.enter_context(governed(spec))
-        if batch_size is not None:
-            try:
-                stack.enter_context(batching(batch_size))
-            except ValueError as exc:
-                log.error(str(exc))
-                return 2
         pjoin = run_join_experiment(
             pjoin_factory(PJoinConfig(purge_threshold=args.purge_threshold)),
             workload,

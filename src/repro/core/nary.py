@@ -120,9 +120,7 @@ class NaryPJoin(Operator):
         self.side_first_punct_ms: List[Optional[float]] = [None] * n
         self.side_last_punct_ms = [0.0] * n
         self.last_purge_ms = 0.0
-        # Plan state: a global stream priority order.  The containers
-        # are mutated in place by set_plan so the fast-path closure's
-        # captured references stay live across static rebuilds.
+        # Plan state: a global stream priority order.
         self.planner_spec = planner
         self.probe_orders: List[PyTuple[int, ...]] = [()] * n
         self._probe_pos: List[dict] = [{} for _ in range(n)]
@@ -137,7 +135,6 @@ class NaryPJoin(Operator):
             from repro.planner.reopt import Reoptimizer
 
             self.reoptimizer = Reoptimizer(self, planner)
-        self._build_fast_path()
 
     # ------------------------------------------------------------------
     # Plan installation (repro.planner)
@@ -166,109 +163,6 @@ class NaryPJoin(Operator):
             self._probe_pos[side] = {
                 stream: pos for pos, stream in enumerate(probe)
             }
-
-    # ------------------------------------------------------------------
-    # Fast-path specialization (see repro.operators.fastpath)
-    # ------------------------------------------------------------------
-
-    def _build_fast_path(self) -> None:
-        """Install a specialized ``handle`` when every hot layer is off.
-
-        Conditions: strict (default) fault policy — the contract check
-        collapses to one direct ``covers`` call per tuple, with the full
-        validator invoked only on an actual violation so strict raising
-        semantics stay byte-identical — no governor attached, and no
-        tracer on the engine at build time.
-        """
-        from repro.operators import fastpath
-
-        if not fastpath.fastpath_enabled():
-            return
-        cls = type(self)
-        if cls.handle is not NaryPJoin.handle or (
-            cls._handle_tuple is not NaryPJoin._handle_tuple
-        ):
-            return  # a subclass extends the hot path: keep it layered
-        if self.validator.policy != STRICT:
-            return
-        if self.governor is not None:
-            return
-        if self.reoptimizer is not None:
-            return  # adaptive planning re-enters the operator mid-run
-        if getattr(self.engine, "tracer", None) is not None:
-            return
-        sides = self.sides
-        join_indices = self.join_indices
-        n_inputs = self.n_inputs
-        cost_model = self.cost_model
-        tuple_overhead = cost_model.tuple_overhead
-        drop_check = cost_model.drop_check
-        insert_cost = cost_model.insert
-        on_the_fly_drop = self.config.on_the_fly_drop
-        engine = self.engine
-        probe_orders = self.probe_orders  # mutated in place by set_plan
-        side_tuples_in = self.side_tuples_in
-        side_probe_count = self.side_probe_count
-        side_probe_hits = self.side_probe_hits
-        side_match_count = self.side_match_count
-        side_probe_occupancy = self.side_probe_occupancy
-
-        def fast_tuple(tup: Tuple, side: int) -> float:
-            mine = sides[side]
-            value = tup.values[join_indices[side]]
-            cost = tuple_overhead
-            if mine.covers(value):
-                self.validator.admit(tup, value, side)
-                return cost  # pragma: no cover - strict admit raises
-            side_tuples_in[side] += 1
-            value_hash = stable_hash(value)
-            match_lists: List[List[Tuple]] = []
-            complete = True
-            for other in probe_orders[side]:
-                occupancy, matches = sides[other].probe(value, value_hash)
-                side_probe_count[other] += 1
-                side_probe_occupancy[other] += occupancy
-                cost += cost_model.probe_cost(occupancy, len(matches))
-                if not matches:
-                    complete = False
-                    break
-                side_probe_hits[other] += 1
-                side_match_count[other] += len(matches)
-                match_lists.append([entry.tup for entry in matches])
-            if complete:
-                cost += self._emit_combinations(tup, side, match_lists)
-            dropped = False
-            if on_the_fly_drop:
-                cost += drop_check
-                if all(
-                    sides[other].covers(value)
-                    for other in range(n_inputs)
-                    if other != side
-                ):
-                    dropped = True
-                    self.tuples_dropped_on_fly += 1
-            if not dropped:
-                mine.insert(tup, value, engine.now, value_hash)
-                cost += insert_cost
-            return cost
-
-        def handle(item: Any, port: int) -> float:
-            if isinstance(item, Tuple):
-                return fast_tuple(item, port)
-            if isinstance(item, Punctuation):
-                return self._handle_punctuation(item, port)
-            return 0.0
-
-        self.handle = fastpath.mark(handle)  # type: ignore[method-assign]
-
-    def __getstate__(self) -> dict:
-        from repro.operators import fastpath
-
-        return fastpath.strip_for_pickle(self.__dict__)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._build_fast_path()
 
     @property
     def punctuation_violations(self) -> int:

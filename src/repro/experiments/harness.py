@@ -57,11 +57,6 @@ _ACTIVE_GOVERNOR: Optional[GovernorSpec] = None
 # path is byte-for-byte today's code.
 _ACTIVE_PROFILER: Optional[Profiler] = None
 
-# Source batch size installed by the batching() context manager; when
-# set, every experiment's sources prefetch their schedules in vectors
-# of this size (byte-identical results for every value).
-_ACTIVE_BATCH_SIZE: Optional[int] = None
-
 # Planner spec installed by the planning() context manager; when set,
 # the n-ary stock factory builds its joins with this spec (the CLI's
 # --planner flag).  When unset, joins are unplanned: stream order,
@@ -121,35 +116,6 @@ def planning(spec: Optional[PlannerSpec]) -> Iterator[None]:
 def active_planner() -> Optional[PlannerSpec]:
     """The planner spec installed by :func:`planning`, if any."""
     return _ACTIVE_PLANNER
-
-
-@contextlib.contextmanager
-def batching(batch_size: Optional[int]) -> Iterator[None]:
-    """Run every experiment in this block with micro-batched sources.
-
-    The CLI's ``--batch-size`` uses this to re-run unmodified experiment
-    presets with vectorized source admission:
-    :func:`run_join_experiment` consults the active batch size when its
-    own ``batch_size`` argument is ``None``.  Micro-batching amortizes
-    per-item event scheduling; delivery times, order, counters and all
-    figure output stay byte-identical for every batch size (the
-    equivalence suite proves it).  ``batching(None)`` restores the
-    default item-at-a-time admission.
-    """
-    global _ACTIVE_BATCH_SIZE
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch_size}")
-    previous = _ACTIVE_BATCH_SIZE
-    _ACTIVE_BATCH_SIZE = batch_size
-    try:
-        yield
-    finally:
-        _ACTIVE_BATCH_SIZE = previous
-
-
-def active_batch_size() -> Optional[int]:
-    """The source batch size installed by :func:`batching`, if any."""
-    return _ACTIVE_BATCH_SIZE
 
 
 @contextlib.contextmanager
@@ -377,7 +343,6 @@ def run_join_experiment(
     keep_items: bool = False,
     horizon_factor: float = 4.0,
     tracer: Optional[Tracer] = None,
-    batch_size: Optional[int] = None,
 ) -> ExperimentRun:
     """Execute one join over one workload and return its measurements.
 
@@ -401,10 +366,6 @@ def run_join_experiment(
         engine for the run.  Defaults to the tracer installed by the
         :func:`tracing` context manager, if any; otherwise the run is
         untraced (the zero-cost-when-off path).
-    batch_size:
-        Source schedule prefetch vector (see :func:`batching`).
-        Defaults to the active :func:`batching` context, else 1.
-        Results are byte-identical for every value.
     """
     if _RUN_INTERCEPTOR is not None:
         return _RUN_INTERCEPTOR(
@@ -416,7 +377,6 @@ def run_join_experiment(
             keep_items=keep_items,
             horizon_factor=horizon_factor,
             tracer=tracer,
-            batch_size=batch_size,
         )
     return execute_join_experiment(
         factory,
@@ -427,7 +387,6 @@ def run_join_experiment(
         keep_items=keep_items,
         horizon_factor=horizon_factor,
         tracer=tracer,
-        batch_size=batch_size,
     )
 
 
@@ -440,13 +399,10 @@ def execute_join_experiment(
     keep_items: bool = False,
     horizon_factor: float = 4.0,
     tracer: Optional[Tracer] = None,
-    batch_size: Optional[int] = None,
 ) -> ExperimentRun:
     """The un-interceptable body of :func:`run_join_experiment`."""
     if tracer is None:
         tracer = _ACTIVE_TRACER
-    if batch_size is None:
-        batch_size = _ACTIVE_BATCH_SIZE if _ACTIVE_BATCH_SIZE is not None else 1
     plan = QueryPlan(cost_model=cost_model)
     if tracer is not None:
         plan.engine.tracer = tracer
@@ -460,9 +416,7 @@ def execute_join_experiment(
         chr(ord("A") + i) for i in range(len(schedules))
     )
     for port, (schedule, source_name) in enumerate(zip(schedules, names)):
-        plan.add_source(
-            schedule, join, port=port, name=source_name, batch_size=batch_size
-        )
+        plan.add_source(schedule, join, port=port, name=source_name)
     collector = MetricsCollector(plan.engine, interval_ms=sample_interval_ms)
     collector.register_gauge("state_total", join.total_state_size)
     for port, source_name in enumerate(names):
@@ -670,7 +624,7 @@ def run_nary_experiment(
     """Run an n-ary PJoin over an n-stream workload.
 
     A thin veneer over :func:`run_join_experiment` — interception
-    (parallel sweeps), batching, profiling and tracing all compose
+    (parallel sweeps), profiling and tracing all compose
     exactly as for binary experiments.
     """
     return run_join_experiment(

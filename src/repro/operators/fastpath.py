@@ -1,31 +1,28 @@
-"""Construction-time fast-path specialization of join hot paths.
+"""Construction-time fast-path specialization of PJoin's hot path.
 
-ROADMAP item 1: disabled feature layers must cost **zero** on the
-per-tuple path.  The layered ``handle`` implementations consult the
-contract validator, the memory governor and the tracer on every tuple —
-cheap branches, but they sit on ~100k calls per run and the attribute /
-method indirection dominates once the real work is a dict probe.
+PJoin is the only operator with two per-tuple paths.  Its layered
+``handle`` consults the contract validator, the memory governor, the
+skew layer and the tracer on every tuple; at the **end of construction**
+PJoin inspects its own configuration and, when every per-tuple feature
+is off, installs a specialized ``handle`` closure on the *instance* that
+skips the disabled layers entirely.  The class-level layered ``handle``
+remains untouched and is what runs whenever any feature is on.
 
-The fix mirrors the instance-shadowing trick the profiler already uses
-(:mod:`repro.obs.profile`), in the opposite direction: at the **end of
-construction** each join inspects its own configuration and, when every
-per-tuple feature is off, installs a specialized ``handle`` closure on
-the *instance* that skips the disabled layers entirely — no policy
-compare, no ``governor is None`` branch, no validator method call.  The
-class-level layered ``handle`` remains untouched and is what runs
-whenever any feature is on.
+PJoin installs its fast path only when **all** of these hold:
 
-A join installs its fast path only when **all** of these hold:
+* the fault policy is ``strict`` (the default).  The contract check is
+  *kept* — inlined as one direct ``covers`` call with the full validator
+  invoked only on an actual violation, so strict semantics (raise,
+  counters) are byte-identical;
+* no memory governor and no skew layer are attached;
+* no tracer is attached to the engine at build time.  Punctuation-driven
+  components keep their own dynamic tracer guards either way — the
+  condition is conservative.
 
-* the fault policy is the operator's default (``strict`` for
-  PJoin/NaryPJoin, ``trust`` for XJoin/SHJ).  The strict contract check
-  is *kept* — inlined as one direct ``covers`` call with the full
-  validator invoked only on an actual violation, so strict semantics
-  (raise, counters) are byte-identical;
-* no memory governor is attached (``--memory-budget`` off);
-* no tracer is attached to the engine at build time (``repro trace`` /
-  the obs feature layer off).  Punctuation-driven components keep their
-  own dynamic tracer guards either way — the condition is conservative.
+NaryPJoin, XJoin and SymmetricHashJoin have one hot path each.  PJoin's
+builder stays because the repo benchmark (``joinbench``) pins it: its
+layer tracer reads :func:`has_fastpath`, and its tests assert that the
+``fig5_eager`` workload builds the fast path.
 
 Closures are tagged with ``__repro_fastpath__`` so the profiling
 ``--check`` gate can tell a deliberate specialization from a leaked
@@ -44,13 +41,13 @@ _ENABLED = True
 
 
 def fastpath_enabled() -> bool:
-    """Whether operators may install fast-path closures when built."""
+    """Whether PJoin may install its fast-path closure when built."""
     return _ENABLED
 
 
 @contextlib.contextmanager
 def disabled() -> Iterator[None]:
-    """Build every operator in this block on the layered (slow) path.
+    """Build every PJoin in this block on the layered (slow) path.
 
     The equivalence suite runs each preset once normally and once under
     this context; the two runs must produce byte-identical manifests.
@@ -84,7 +81,7 @@ def strip_for_pickle(state: dict) -> dict:
     """Drop a fast-path closure from a ``__dict__`` snapshot.
 
     Closures cannot be pickled (the parallel sweep ships whole runs
-    across processes); operators strip the installed ``handle`` in
+    across processes); PJoin strips the installed ``handle`` in
     ``__getstate__`` and rebuild it in ``__setstate__``.
     """
     if is_fastpath(state.get("handle")):

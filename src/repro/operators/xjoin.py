@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional, Tuple as PyTuple
 from repro.errors import ConfigError
 from repro.memory.budget import GovernorSpec
 from repro.obs.trace import get_tracer
-from repro.operators import fastpath
 from repro.operators.binary import BinaryHashJoin
 from repro.operators.dedupe import already_produced, stage1_covered
 from repro.storage.hash_table import stable_hash
@@ -125,73 +124,6 @@ class XJoin(BinaryHashJoin):
         self.stage2_runs = 0
         self.stage3_pairs_emitted = 0
         self.punctuations_absorbed = 0
-        self._build_fast_path()
-
-    # ------------------------------------------------------------------
-    # Fast-path specialization (see repro.operators.fastpath)
-    # ------------------------------------------------------------------
-
-    def _build_fast_path(self) -> None:
-        """Install a specialized ``handle`` when every hot layer is off.
-
-        Conditions: trust (default) fault policy — ``admit`` always
-        returns ``True`` and ``observe_punctuation`` is a no-op over
-        inert contracts, so both vanish — no governor, no relocation
-        threshold, and no tracer attached at build time.
-        """
-        if not fastpath.fastpath_enabled():
-            return
-        if type(self).handle is not XJoin.handle:
-            return  # a subclass extends the hot path: keep it layered
-        if self.validator.policy != TRUST:
-            return
-        if self.governor is not None:
-            return
-        if self.memory_threshold is not None:
-            return
-        if getattr(self.engine, "tracer", None) is not None:
-            return
-        state0, state1 = self.states
-        ji0, ji1 = self.join_indices
-        cost_model = self.cost_model
-        tuple_overhead = cost_model.tuple_overhead
-        insert_cost = cost_model.insert
-        punct_overhead = cost_model.punct_overhead
-        engine = self.engine
-
-        def handle(item: Any, port: int) -> float:
-            if isinstance(item, Tuple):
-                if port == 0:
-                    value = item.values[ji0]
-                    mine, other = state0, state1
-                else:
-                    value = item.values[ji1]
-                    mine, other = state1, state0
-                value_hash = stable_hash(value)
-                occupancy, matches = other.probe(value, value_hash)
-                self.probes += 1
-                self.probe_matches += len(matches)
-                self.emit_joins(item, matches, port)
-                mine.insert(item, value, engine.now, value_hash)
-                self.insertions += 1
-                return (
-                    tuple_overhead
-                    + cost_model.probe_cost(occupancy, len(matches))
-                    + insert_cost
-                )
-            if isinstance(item, Punctuation):
-                self.punctuations_absorbed += 1
-                return punct_overhead
-            return 0.0
-
-        self.handle = fastpath.mark(handle)  # type: ignore[method-assign]
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return fastpath.strip_for_pickle(self.__dict__)
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._build_fast_path()
 
     # ------------------------------------------------------------------
     # Stage 1: per-tuple memory join

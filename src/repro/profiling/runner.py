@@ -134,14 +134,8 @@ def run_profile(
     features: Sequence[str] = (),
     profile: bool = True,
     workload: Any = None,
-    batch_size: Optional[int] = None,
 ) -> ProfileRun:
-    """Execute *preset* once; workload generation stays untimed.
-
-    *batch_size* admits source tuples in micro-batches of that many per
-    scheduler event; the simulation outcome is byte-identical to the
-    default item-at-a-time admission, only wall time moves.
-    """
+    """Execute *preset* once; workload generation stays untimed."""
     if workload is None:
         workload = preset.workload(scale)
     factory = preset.factory(resilience="resilience" in features)
@@ -152,10 +146,7 @@ def run_profile(
         if profiler is not None:
             stack.enter_context(profiling(profiler))
         begin = time.perf_counter()
-        run = run_join_experiment(
-            factory, workload, label=f"profile:{preset.name}",
-            batch_size=batch_size,
-        )
+        run = run_join_experiment(factory, workload, label=f"profile:{preset.name}")
         wall = time.perf_counter() - begin
     return ProfileRun(preset, list(features), run, profiler, wall)
 
@@ -303,12 +294,6 @@ def add_profile_args(parser: argparse.ArgumentParser) -> None:
              f"comma-separated subset of {','.join(FEATURES)}",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="admit source tuples in micro-batches of N per scheduler "
-             "event for the profiled run (outcome is byte-identical to "
-             "the default N=1; only wall time moves)",
-    )
-    parser.add_argument(
         "--out", type=Path, default=None, metavar="PATH",
         help="write the profile report (manifest + profile section) as JSON",
     )
@@ -342,17 +327,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
         log.error(str(exc))
         return 2
 
-    batch_size = getattr(args, "batch_size", None)
     log.info("profiling %s (scale %g, features %s)",
              preset.name, args.scale, ",".join(features) or "none")
-    profiled = run_profile(
-        preset, args.scale, features, profile=True, batch_size=batch_size
-    )
+    profiled = run_profile(preset, args.scale, features, profile=True)
     snapshot = profiled.run.profile
     assert snapshot is not None and profiled.profiler is not None
-    batch_note = f" | batch {batch_size}" if batch_size else ""
     print(f"profile: {preset.name} @ scale {args.scale:g} | features "
-          f"{','.join(features) or 'none'}{batch_note} "
+          f"{','.join(features) or 'none'} "
           f"| wall {profiled.wall_s:.3f}s "
           f"| {profiled.events_per_s:.0f} events/s")
     print()

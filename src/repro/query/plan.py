@@ -49,22 +49,17 @@ class QueryPlan:
         port: int = 0,
         name: str = "",
         disorder_slack_ms: Optional[float] = None,
-        batch_size: int = 1,
     ) -> StreamSource:
         """Create a source feeding *operator*'s input *port*.
 
         ``disorder_slack_ms`` routes the source through a re-sequencing
-        disorder buffer (see :mod:`repro.resilience.disorder`);
-        ``batch_size`` sets the source's schedule prefetch vector (see
-        :class:`~repro.streams.source.StreamSource` — results are
-        identical for every value).
+        disorder buffer (see :mod:`repro.resilience.disorder`).
         """
         source = StreamSource(
             self.engine,
             schedule,
             name=name or f"source{len(self.sources)}",
             disorder_slack_ms=disorder_slack_ms,
-            batch_size=batch_size,
         )
         source.connect(operator, port)
         self.sources.append(source)

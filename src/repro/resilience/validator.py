@@ -123,8 +123,8 @@ class ContractValidator:
     operator_name:
         Label used in traces and error messages.
     policy:
-        One of :data:`~repro.resilience.policy.FAULT_POLICIES` (legacy
-        ``validate_inputs`` spellings are normalised).
+        One of :data:`~repro.resilience.policy.FAULT_POLICIES`; any
+        other value raises :class:`~repro.errors.ResilienceError`.
     contracts:
         One contract view per input side.
     dead_letters:

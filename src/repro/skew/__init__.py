@@ -26,8 +26,8 @@ traffic.
 
 The layer is strictly opt-in: a join built without a
 :class:`~repro.skew.manager.SkewSpec` takes the exact code path it took
-before this package existed (the fast-path build declines only when a
-spec is attached), so default manifests stay byte-identical.
+before this package existed (PJoin's fast-path build declines only
+when a spec is attached), so default manifests stay byte-identical.
 """
 
 from typing import Any

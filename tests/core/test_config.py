@@ -61,13 +61,10 @@ class TestValidation:
     def test_fault_policy_values(self):
         for policy in ("strict", "quarantine", "repair", "trust"):
             assert PJoinConfig(fault_policy=policy).fault_policy == policy
-        with pytest.raises(ConfigError):
-            PJoinConfig(fault_policy="maybe")
-
-    def test_fault_policy_legacy_spellings_normalise(self):
-        assert PJoinConfig(fault_policy="raise").fault_policy == "strict"
-        assert PJoinConfig(fault_policy="count").fault_policy == "quarantine"
-        assert PJoinConfig(fault_policy="off").fault_policy == "trust"
+        # The pre-resilience ``validate_inputs`` spellings are rejected.
+        for policy in ("maybe", "raise", "count", "off"):
+            with pytest.raises(ConfigError):
+                PJoinConfig(fault_policy=policy)
 
 
 class TestOverrides:

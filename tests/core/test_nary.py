@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import PJoinConfig
 from repro.core.nary import NaryPJoin
-from repro.errors import ConfigError, OperatorError
+from repro.errors import ConfigError, ContractViolationError, OperatorError
 from repro.operators.sink import Sink
 from repro.punctuations.punctuation import Punctuation
 from repro.tuples.item import END_OF_STREAM
@@ -138,6 +138,36 @@ class TestPurging:
         join.push(tup(0, 5), 0)
         engine.run()
         assert join.tuples_dropped_on_fly == 1
+
+
+class TestContractCheck:
+    """A tuple whose own stream already punctuated its join value."""
+
+    def punctuate_with_partners(self, engine, join):
+        join.push(tup(1, 7), 1)
+        join.push(tup(2, 7), 2)
+        join.push(punct(0, 7), 0)
+        engine.run()
+
+    def test_strict_raises(self, engine, joined):
+        join, _ = joined()
+        self.punctuate_with_partners(engine, join)
+        with pytest.raises(ContractViolationError):
+            join.push(tup(0, 7), 0)
+            engine.run()
+        assert join.validator.violations == 1
+
+    def test_quarantine_skips_probe_emit_and_insert(self, engine, joined):
+        join, sink = joined(PJoinConfig(fault_policy="quarantine"))
+        self.punctuate_with_partners(engine, join)
+        probes = list(join.side_probe_count)
+        join.push(tup(0, 7), 0)
+        engine.run()
+        assert join.validator.violations == 1
+        assert len(join.dead_letters) == 1
+        assert join.side_probe_count == probes
+        assert sink.tuple_count == 0
+        assert join.state_size(0) == 0
 
 
 class TestPurgeCompleteness:

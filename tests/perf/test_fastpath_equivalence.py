@@ -1,11 +1,10 @@
-"""Equivalence suite for the fast-path build and micro-batched sources.
+"""Equivalence suite for PJoin's fast-path build.
 
-The performance work must be invisible in the results: a join built on
-the specialized fast path, and an experiment run with any source batch
-size, must produce **byte-identical** output — full run manifest
-(engine event count, every per-operator counter), figure JSON, and the
-collected result tuples — compared to the layered, item-at-a-time
-execution.  This suite is that proof.
+The fast path must be invisible in the results: a PJoin built on the
+specialized fast path must produce **byte-identical** output — full run
+manifest (engine event count, every per-operator counter), figure JSON,
+and the collected result tuples — compared to the layered execution.
+This suite is that proof.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.config import PJoinConfig
 from repro.core.pjoin import PJoin
@@ -22,7 +19,6 @@ from repro.errors import ContractViolationError
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.export import save_figure_json
 from repro.experiments.harness import (
-    batching,
     governed,
     pjoin_factory,
     run_join_experiment,
@@ -41,18 +37,14 @@ from repro.workloads.faults import (
 )
 from repro.workloads.generator import GeneratedWorkload
 
-PRESETS = ["fig5_pjoin", "fig5_xjoin", "fig5_shj", "fig8_pjoin_lazy"]
+PRESETS = ["fig5_pjoin", "fig8_pjoin_lazy"]
 SCALE = 0.12
 
 
-def run_preset(name, scale=SCALE, keep_items=False, batch_size=None):
+def run_preset(name, scale=SCALE, keep_items=False):
     preset = resolve_preset(name)
     return run_join_experiment(
-        preset.factory(),
-        preset.workload(scale),
-        label=name,
-        keep_items=keep_items,
-        batch_size=batch_size,
+        preset.factory(), preset.workload(scale), label=name, keep_items=keep_items
     )
 
 
@@ -66,7 +58,7 @@ def chaos_workload(scale=SCALE):
 
 
 # ---------------------------------------------------------------------------
-# Part A: fast-path builds equal the layered path
+# Fast-path builds equal the layered path
 # ---------------------------------------------------------------------------
 
 
@@ -163,78 +155,7 @@ class TestFastPathBuildMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Part B: micro-batched sources equal item-at-a-time sources
-# ---------------------------------------------------------------------------
-
-
-class TestBatchedEquivalence:
-    @pytest.mark.parametrize("name", PRESETS)
-    @pytest.mark.parametrize("batch", [2, 16, 64])
-    def test_manifest_identical(self, name, batch):
-        base = run_preset(name)
-        batched = run_preset(name, batch_size=batch)
-        assert base.manifest == batched.manifest
-
-    def test_results_identical_with_kept_items(self):
-        base = run_preset("fig5_pjoin", keep_items=True)
-        batched = run_preset("fig5_pjoin", keep_items=True, batch_size=64)
-        assert [t.values for t in base.sink.results] == [
-            t.values for t in batched.sink.results
-        ]
-        assert [t.ts for t in base.sink.results] == [
-            t.ts for t in batched.sink.results
-        ]
-
-    def test_batching_context_applies(self):
-        base = run_preset("fig5_pjoin")
-        with batching(32):
-            ctx = run_preset("fig5_pjoin")
-        assert base.manifest == ctx.manifest
-
-    def test_figure_json_byte_identical_batched(self, tmp_path):
-        base_path = tmp_path / "base.json"
-        batched_path = tmp_path / "batched.json"
-        save_figure_json(ALL_FIGURES["figure5"](scale=0.06), base_path)
-        with batching(64):
-            save_figure_json(ALL_FIGURES["figure5"](scale=0.06), batched_path)
-        assert base_path.read_bytes() == batched_path.read_bytes()
-
-    def test_chaos_workload_identical_batched(self):
-        wl = chaos_workload()
-        factory = pjoin_factory(PJoinConfig(purge_threshold=2))
-        base = run_join_experiment(factory, wl, label="chaos")
-        batched = run_join_experiment(factory, wl, label="chaos", batch_size=16)
-        assert base.manifest == batched.manifest
-
-    def test_batched_and_layered_combined(self):
-        """Batched fast-path run == unbatched layered run."""
-        base_manifest = None
-        with fastpath.disabled():
-            base_manifest = run_preset("fig5_pjoin").manifest
-        combined = run_preset("fig5_pjoin", batch_size=64)
-        assert combined.manifest == base_manifest
-
-
-class TestBatchSizeProperty:
-    """Hypothesis: ANY batch size replays the default execution."""
-
-    _baseline = None
-
-    @classmethod
-    def baseline(cls):
-        if cls._baseline is None:
-            cls._baseline = run_preset("fig5_pjoin", scale=0.06).manifest
-        return cls._baseline
-
-    @settings(max_examples=12, deadline=None)
-    @given(batch=st.integers(min_value=1, max_value=500))
-    def test_any_batch_size_is_byte_identical(self, batch):
-        run = run_preset("fig5_pjoin", scale=0.06, batch_size=batch)
-        assert run.manifest == self.baseline()
-
-
-# ---------------------------------------------------------------------------
-# Schema interning (rides along with the batched hot path)
+# Schema interning
 # ---------------------------------------------------------------------------
 
 

@@ -55,7 +55,7 @@ class TestPlanInstallation:
         self, engine, cheap_cost_model
     ):
         join, _ = build(engine, cheap_cost_model)
-        probe_orders = join.probe_orders  # fastpath captures this list
+        probe_orders = join.probe_orders  # set_plan rewrites this list
         join.set_plan((2, 1, 0))
         assert join.stream_order == (2, 1, 0)
         assert join.purge_order == (2, 1, 0)
@@ -76,14 +76,6 @@ class TestPlanInstallation:
         join, _ = build(engine, cheap_cost_model, planner=spec)
         assert join.reoptimizer is not None
         assert join.reoptimizer.spec is spec
-
-    def test_adaptive_declines_the_fast_path(self, engine, cheap_cost_model):
-        static, _ = build(engine, cheap_cost_model)
-        adaptive, _ = build(
-            engine, cheap_cost_model, planner=PlannerSpec(mode="adaptive")
-        )
-        assert "handle" in vars(static)      # specialized closure installed
-        assert "handle" not in vars(adaptive)
 
 
 class TestBoundaries:

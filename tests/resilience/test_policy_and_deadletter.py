@@ -8,14 +8,7 @@ from repro.resilience.deadletter import (
     REASON_CONTRACT_VIOLATION,
     DeadLetterStore,
 )
-from repro.resilience.policy import (
-    FAULT_POLICIES,
-    QUARANTINE,
-    REPAIR,
-    STRICT,
-    TRUST,
-    normalize_policy,
-)
+from repro.resilience.policy import FAULT_POLICIES, normalize_policy
 
 
 class TestNormalizePolicy:
@@ -23,14 +16,11 @@ class TestNormalizePolicy:
         for policy in FAULT_POLICIES:
             assert normalize_policy(policy) == policy
 
-    def test_legacy_validate_inputs_spellings(self):
-        assert normalize_policy("raise") == STRICT
-        assert normalize_policy("count") == QUARANTINE
-        assert normalize_policy("off") == TRUST
-
     def test_unknown_policy_raises(self):
-        with pytest.raises(ResilienceError, match="fault policy"):
-            normalize_policy("lenient")
+        # The pre-resilience ``validate_inputs`` spellings are unknown too.
+        for policy in ("lenient", "raise", "count", "off"):
+            with pytest.raises(ResilienceError, match="fault policy"):
+                normalize_policy(policy)
 
     def test_resilience_error_is_a_repro_error(self):
         assert issubclass(ResilienceError, ReproError)

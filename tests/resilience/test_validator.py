@@ -103,8 +103,7 @@ class TestRepair:
 
 
 class TestLegacyAliases:
-    def test_count_means_quarantine(self, engine):
-        assert tracking(engine, "count").policy == "quarantine"
+    """Strict with no violations behaves like the pre-resilience join."""
 
     def test_is_default_strict(self, engine):
         validator = tracking(engine, "strict")

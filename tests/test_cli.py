@@ -116,10 +116,6 @@ class TestMetrics:
         assert "tuples_purged" in out
         assert "disk.write_ops" in out
 
-    def test_obs_aliases_work(self, capsys):
-        assert main(["obs", "metrics", "--tuples", "100"]) == 0
-        assert "probes" in capsys.readouterr().out
-
 
 class TestParser:
     def test_requires_a_command(self):
@@ -133,13 +129,6 @@ class TestParser:
             main(["--version"])
         assert excinfo.value.code == 0
         assert repro.__version__ in capsys.readouterr().out
-
-    def test_obs_help_smoke(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["obs", "--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        assert "trace" in out and "metrics" in out
 
 
 class TestPlan:
