@@ -14,9 +14,15 @@ package exploits that:
   I/O is charged and fault-injectable like any other disk traffic;
 * :mod:`repro.checkpoint.recovery` — cover-aligned segmented shard
   execution, seeded crash injection, and the supervised multiprocess
-  backend that respawns dead workers from their latest checkpoint;
+  backend that respawns dead workers from their latest checkpoint (a
+  worker that raises is reported, not respawned);
 * :mod:`repro.checkpoint.rescale` — live ``K1 -> K2`` rescaling with
   checkpointed-state migration at the next cover boundary.
+
+Every segment, respawn and migration runs the sharding layer's one
+shard runner, :func:`repro.shard.backend.run_shard_slice`, and the
+workers go through its one fork supervisor,
+:func:`repro.shard.backend.run_shard_workers`.
 """
 
 from repro.checkpoint.snapshot import (

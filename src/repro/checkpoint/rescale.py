@@ -40,21 +40,17 @@ from typing import Any, Dict, List, Optional, Tuple as PyTuple
 
 from repro.checkpoint.recovery import (
     DEFAULT_CHECKPOINT_EVERY,
-    _empty_outputs,
     run_checkpointed_shard,
 )
 from repro.checkpoint.snapshot import restore_entry
 from repro.core.config import PJoinConfig
-from repro.core.pjoin import PJoin
 from repro.errors import RecoveryError
 from repro.memory.budget import GovernorSpec
 from repro.punctuations.patterns import WILDCARD
 from repro.punctuations.punctuation import Punctuation
 from repro.punctuations.store import is_join_exploitable
-from repro.query.plan import QueryPlan
-from repro.shard.backend import ShardedRunOutcome, ShardPlan
-from repro.shard.merger import AlignmentLedger
-from repro.shard.operator import aggregate_counters
+from repro.shard.backend import ShardedRunOutcome, ShardPlan, run_shard_slice
+from repro.shard.operator import aggregate_counters, shard_governors
 from repro.shard.routing import shard_of
 from repro.storage.hash_table import stable_hash
 from repro.storage.partition import INFINITY
@@ -130,9 +126,11 @@ def _migrate_states(
 ) -> PyTuple[List[Dict[str, Any]], Dict[str, int]]:
     """Re-bucket K1 final operator snapshots into K2 initial snapshots.
 
-    Builds one quiet operator per new shard, places every migrated
-    entry in its hash bucket, stamps the cut-time dedupe metadata and
-    snapshots the result — so the migrated state has exactly the shape
+    Builds one quiet operator per new shard (a
+    :func:`~repro.shard.backend.run_shard_slice` that runs nothing),
+    places every migrated entry in its hash bucket, stamps the cut-time
+    dedupe metadata and snapshots the result — so the migrated state
+    has exactly the shape
     ``PJoin.restore_state`` expects, with fresh (zeroed) counters,
     empty punctuation stores/indexes and empty purge buffers.
     """
@@ -166,17 +164,7 @@ def _migrate_states(
 
     states: List[Dict[str, Any]] = []
     for shard in range(n_after):
-        plan = QueryPlan()
-        join = PJoin(
-            plan.engine,
-            plan.cost_model,
-            workload.schemas[0],
-            workload.schemas[1],
-            workload.join_fields[0],
-            workload.join_fields[1],
-            config=config,
-            name=f"{name}.shard{shard}",
-        )
+        join, _outcome = run_shard_slice(shard, None, workload, config, name=name)
         any_disk = False
         for side_index in (0, 1):
             side = join.sides[side_index]
@@ -236,54 +224,35 @@ def _rebuild_punctuation(
     return Punctuation(schema, patterns, ts=ts)
 
 
-class RescaleOutcome:
-    """The merged view of one rescaled run (mirrors ShardedRunOutcome)."""
+class RescaleOutcome(ShardedRunOutcome):
+    """The merged view of one rescaled run: phase 1, then phase 2."""
 
     def __init__(
         self,
-        phase1_results: Optional[List[PyTuple[tuple, float]]],
-        phase1_punctuations: List[PyTuple[Any, float]],
-        phase1_outcomes: List[Dict[str, Any]],
+        phase1: ShardedRunOutcome,
         phase2: ShardedRunOutcome,
         rescale_counters: Dict[str, Any],
         keep_items: bool,
     ) -> None:
         self.n_shards = phase2.n_shards
-        self.shard_outcomes = phase1_outcomes + phase2.shard_outcomes
-        self.result_count = (
-            sum(o["result_count"] for o in phase1_outcomes) + phase2.result_count
+        self.shard_outcomes = phase1.shard_outcomes + phase2.shard_outcomes
+        self.result_count = phase1.result_count + phase2.result_count
+        self.events = phase1.events + phase2.events
+        self.virtual_now = max(phase1.virtual_now, phase2.virtual_now)
+        self.results = sorted(
+            phase1.results + phase2.results, key=lambda r: r[1]
+        ) if keep_items else []
+        self.punctuations = phase1.punctuations + phase2.punctuations
+        self.punctuations_unaligned = (
+            phase1.punctuations_unaligned + phase2.punctuations_unaligned
         )
-        self.events = sum(o["events"] for o in phase1_outcomes) + phase2.events
-        self.virtual_now = max(
-            [phase2.virtual_now]
-            + [o["virtual_now"] for o in phase1_outcomes]
-        )
-        if keep_items:
-            self.results: Optional[List[PyTuple[tuple, float]]] = sorted(
-                (phase1_results or []) + phase2.results, key=lambda r: r[1]
-            )
-        else:
-            self.results = None
-        self.punctuations = list(phase1_punctuations) + list(phase2.punctuations)
-        self.punctuations_unaligned = phase2.punctuations_unaligned
+        self.unsettled = phase2.unsettled
         self.counters = aggregate_counters(
             [o["counters"] for o in self.shard_outcomes]
         )
         self.counters["shards"] = self.n_shards
         for key, value in rescale_counters.items():
             self.counters[f"rescale.{key}"] = value
-
-    def result_multiset(self) -> Dict[tuple, int]:
-        counts: Dict[tuple, int] = {}
-        for values, _ts in self.results or []:
-            counts[values] = counts.get(values, 0) + 1
-        return counts
-
-    def punctuation_multiset(self) -> Dict[Any, int]:
-        counts: Dict[Any, int] = {}
-        for pattern, _ts in self.punctuations:
-            counts[pattern] = counts.get(pattern, 0) + 1
-        return counts
 
 
 def run_sharded_rescale(
@@ -305,62 +274,45 @@ def run_sharded_rescale(
     prefix, suffix = _split_schedules(workload, cut_ts)
     prefix_workload = GeneratedWorkload(workload.spec, prefix[0], prefix[1])
 
-    # ---- Phase 1: K1 shards over the prefix, quiescing at the cut ----
-    k1 = rescale.n_before
-    plan1 = ShardPlan(prefix_workload, k1)
-    governors1 = (
-        governor.split(k1) if governor is not None else [None] * k1
-    )
-    outcomes1: List[Dict[str, Any]] = []
-    for shard in range(k1):
-        outcomes1.append(
+    def run_phase(
+        phase_workload: GeneratedWorkload,
+        n_shards: int,
+        states: Optional[List[Dict[str, Any]]] = None,
+        now: float = 0.0,
+    ) -> ShardedRunOutcome:
+        # Shards keep every item: punctuations drive the ledger replay.
+        plan = ShardPlan(phase_workload, n_shards)
+        governors = shard_governors(governor, n_shards)
+        return ShardedRunOutcome(plan, [
             run_checkpointed_shard(
-                shard,
-                plan1.schedules[shard][0],
-                plan1.schedules[shard][1],
-                prefix_workload,
-                config=config,
-                keep_items=True,  # punctuations drive the ledger replay
-                governor=governors1[shard],
+                shard, plan.schedules[shard][0], plan.schedules[shard][1],
+                phase_workload, config=config, governor=governors[shard],
                 checkpoint_every=checkpoint_every,
-                final_snapshot=True,
-                name=name,
+                initial_state=None if states is None else {
+                    "operator": states[shard], "outputs": {"virtual_now": now},
+                },
+                final_snapshot=states is None, name=name,
             )
-        )
+            for shard in range(n_shards)
+        ])
 
-    # Replay the prefix's alignment ledger to find which promises were
-    # fully merged in phase 1 and which are still owed to the suffix.
-    ledger = AlignmentLedger()
-    registered = []
-    for _ts, side, pattern, cover in plan1.registrations:
-        sub = ledger.register(pattern, cover)
-        if sub is not None:
-            registered.append((side, sub))
-    arrivals = []
-    for outcome in outcomes1:
-        for index, (pattern, ts) in enumerate(outcome["punctuations"]):
-            arrivals.append((ts, outcome["shard"], index, pattern))
-    arrivals.sort(key=lambda a: (a[0], a[1], a[2]))
-    phase1_punctuations: List[PyTuple[Any, float]] = []
-    for ts, shard, _index, pattern in arrivals:
-        matched, original = ledger.settle(shard, pattern)
-        if matched and original is not None:
-            phase1_punctuations.append((original, ts))
-    unsettled = [(side, sub.original) for side, sub in registered if sub.remaining]
+    # ---- Phase 1: K1 shards over the prefix, quiescing at the cut ----
+    # Its ledger replay tells which promises were fully merged in phase
+    # 1 and which are still owed to the suffix.
+    phase1 = run_phase(prefix_workload, rescale.n_before)
 
     # ---- Migration: re-bucket state, re-deliver open promises --------
-    k2 = rescale.n_after
-    final_states = [outcome.pop("final_state") for outcome in outcomes1]
+    final_states = [o.pop("final_state") for o in phase1.shard_outcomes]
     # The migrated dedupe metadata is stamped at the latest final clock
     # over the old shards; the new shards come up one virtual tick
     # later, so every post-migration arrival is strictly newer than
     # every migrated probe/departure stamp.
-    resume_ts = max(outcome["virtual_now"] for outcome in outcomes1)
+    resume_ts = phase1.virtual_now
     states2, migrated = _migrate_states(
-        final_states, workload, config, k2, resume_ts, name
+        final_states, workload, config, rescale.n_after, resume_ts, name
     )
     replay_items: List[list] = [[], []]
-    for side, pattern in unsettled:
+    for side, pattern in phase1.unsettled:
         replay_items[side].append(
             (cut_ts, _rebuild_punctuation(workload, side, pattern, cut_ts))
         )
@@ -371,51 +323,14 @@ def run_sharded_rescale(
     )
 
     # ---- Phase 2: K2 shards over the suffix ---------------------------
-    plan2 = ShardPlan(suffix_workload, k2)
-    governors2 = (
-        governor.split(k2) if governor is not None else [None] * k2
-    )
-    outcomes2: List[Dict[str, Any]] = []
-    for shard in range(k2):
-        outputs = _empty_outputs(True)
-        outputs["virtual_now"] = resume_ts + 1.0
-        outcomes2.append(
-            run_checkpointed_shard(
-                shard,
-                plan2.schedules[shard][0],
-                plan2.schedules[shard][1],
-                suffix_workload,
-                config=config,
-                keep_items=True,
-                governor=governors2[shard],
-                checkpoint_every=checkpoint_every,
-                initial_state={
-                    "operator": states2[shard],
-                    "outputs": outputs,
-                },
-                name=name,
-            )
-        )
-    phase2 = ShardedRunOutcome(plan2, outcomes2)
+    phase2 = run_phase(suffix_workload, rescale.n_after, states2, resume_ts + 1.0)
 
     rescale_counters = {
         "cut_ts": cut_ts,
-        "shards_before": k1,
-        "shards_after": k2,
+        "shards_before": rescale.n_before,
+        "shards_after": rescale.n_after,
         "migrated_tuples": migrated["tuples"],
         "migrated_disk_tuples": migrated["disk_tuples"],
-        "replayed_punctuations": len(unsettled),
+        "replayed_punctuations": len(phase1.unsettled),
     }
-    phase1_results = None
-    if keep_items:
-        phase1_results = []
-        for outcome in outcomes1:
-            phase1_results.extend(outcome["results"] or [])
-    return RescaleOutcome(
-        phase1_results,
-        phase1_punctuations,
-        outcomes1,
-        phase2,
-        rescale_counters,
-        keep_items,
-    )
+    return RescaleOutcome(phase1, phase2, rescale_counters, keep_items)

@@ -44,6 +44,16 @@ class OperatorError(ReproError):
     """An operator was configured or wired incorrectly."""
 
 
+class ShardWorkerError(ReproError):
+    """A shard worker outside the simulator failed.
+
+    Raised by the shard supervisor (:mod:`repro.shard.backend`) when a
+    worker raises — the message names the shard and carries the
+    original exception's type, message and traceback — or dies without
+    reporting where nothing respawns it.
+    """
+
+
 class ConfigError(ReproError):
     """An operator/experiment configuration value is invalid."""
 

@@ -7,15 +7,18 @@ re-emits each routed punctuation exactly once, after every covering
 shard has propagated it.  Two backends share the routing and alignment
 code: the deterministic in-simulator backend
 (:class:`~repro.shard.operator.ShardedJoin`) and the wall-clock
-multiprocess backend (:mod:`repro.shard.backend`).
+multiprocess backend (:mod:`repro.shard.backend`), whose one shard
+runner (:func:`~repro.shard.backend.run_shard_slice`) and one fork
+supervisor (:func:`~repro.shard.backend.run_shard_workers`) also carry
+the checkpointed, recovered and rescaled runs of :mod:`repro.checkpoint`.
 """
 
 from repro.shard.backend import (
     ShardedRunOutcome,
     ShardPlan,
-    ShardWorkerPool,
     fork_available,
-    run_shard_simulation,
+    run_shard_slice,
+    run_shard_workers,
     run_sharded_multiprocess,
 )
 from repro.shard.merger import AlignedMerger, AlignmentLedger
@@ -36,11 +39,11 @@ __all__ = [
     "ShardedRunOutcome",
     "ShardPlan",
     "ShardRouter",
-    "ShardWorkerPool",
     "aggregate_counters",
     "fork_available",
     "narrow_punctuation",
-    "run_shard_simulation",
+    "run_shard_slice",
+    "run_shard_workers",
     "run_sharded_multiprocess",
     "shard_cover",
     "shard_of",

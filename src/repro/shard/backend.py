@@ -1,37 +1,44 @@
 """The wall-clock multiprocess backend: one OS process per shard.
 
-Mirrors the PR 3 sweep runner's plan/worker/merge shape, but splits one
-*run* instead of many runs:
+Splits one *run* of a PJoin across K shards, outside the simulator:
 
-* **plan** — :func:`plan_shards` routes the workload's schedules offline
+* **plan** — :class:`ShardPlan` routes the workload's schedules offline
   with the same rules the in-simulator router applies (tuples to their
   owning shard, punctuations narrowed per cover) and records the
   alignment subscriptions in arrival order;
-* **worker** — each shard process replays its slice through a private
-  :class:`~repro.sim.engine.SimulationEngine`; shards share no state,
-  so a shard's virtual trace is identical whether it runs in the shared
+* **run** — :func:`run_shard_slice` builds a shard's PJoin and Sink on a
+  private :class:`~repro.sim.engine.SimulationEngine` and replays its
+  slice.  It is the only place such a shard operator is assembled: the
+  checkpoint segment loop and the rescale migration
+  (:mod:`repro.checkpoint`) call it too.  Shards share no state, so a
+  shard's virtual trace is identical whether it runs in the shared
   engine or alone, which is what makes the two backends agree;
-* **merge** — results are re-ordered deterministically by
-  ``(virtual time, shard, sequence)`` and shard punctuation frontiers
-  are replayed through an :class:`~repro.shard.merger.AlignmentLedger`,
-  yielding the same merged output punctuations the in-simulator
+* **supervise** — :func:`run_shard_workers` forks one worker per shard
+  and waits for every outcome.  Payloads transfer by inheritance (no
+  pickling of tuple schedules).  A worker that raises reports its
+  error, which stops the run; a worker that dies silently is handed to
+  the caller's respawn hook (the crash-recovery backend's).  Where
+  ``fork`` is unavailable the same jobs run in-process, one after the
+  other — same outcome, no parallelism;
+* **merge** — :class:`ShardedRunOutcome` re-orders results by virtual
+  time and replays shard punctuation frontiers through an
+  :class:`~repro.shard.merger.AlignmentLedger`, yielding the same merged
+  output punctuations the in-simulator
   :class:`~repro.shard.merger.AlignedMerger` emits.
-
-Worker processes are forked, so shard payloads transfer by inheritance
-(no pickling of tuple schedules); each worker blocks on a pipe until
-released, so a wall clock around :meth:`ShardWorkerPool.run` times only
-the simulation work, not process start-up.  On platforms without
-``fork`` the backend degrades to running the shard simulations
-sequentially in-process — same outcome, no parallelism.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, Dict, List, Optional, Sequence, Tuple as PyTuple
+import os
+import pickle
+import traceback
+from multiprocessing.connection import wait as connection_wait
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as PyTuple
 
 from repro.core.config import PJoinConfig
 from repro.core.pjoin import PJoin
+from repro.errors import ShardWorkerError
 from repro.memory.budget import GovernorSpec
 from repro.obs.manifest import operator_counters
 from repro.operators.sink import Sink
@@ -39,7 +46,7 @@ from repro.punctuations.punctuation import Punctuation
 from repro.punctuations.store import is_join_exploitable
 from repro.query.plan import QueryPlan
 from repro.shard.merger import AlignmentLedger
-from repro.shard.operator import aggregate_counters
+from repro.shard.operator import aggregate_counters, shard_governors
 from repro.shard.routing import narrow_punctuation, shard_cover, shard_of
 from repro.tuples.tuple import Tuple
 from repro.workloads.generator import GeneratedWorkload
@@ -99,21 +106,32 @@ class ShardPlan:
                               for t, side, _order, pat, cover in registrations]
 
 
-def run_shard_simulation(
+def run_shard_slice(
     shard_index: int,
-    schedule_a: Schedule,
-    schedule_b: Schedule,
+    schedules: Optional[PyTuple[Schedule, Schedule]],
     workload: GeneratedWorkload,
-    config: Optional[PJoinConfig],
-    keep_items: bool,
+    config: Optional[PJoinConfig] = None,
+    keep_items: bool = True,
     name: str = "pjoin",
     governor: Optional[GovernorSpec] = None,
-) -> Dict[str, Any]:
-    """Run one shard's slice to completion; return its plain-dict outcome.
+    state: Optional[Dict[str, Any]] = None,
+    now: float = 0.0,
+    arm: Optional[Callable[[PJoin], None]] = None,
+) -> PyTuple[PJoin, Dict[str, Any]]:
+    """Build one shard's PJoin and Sink and run *schedules* through it.
 
-    *governor* is this shard's own (already split) budget share.
+    The one place a shard operator outside the simulator is assembled:
+    the multiprocess worker, every checkpoint segment and the rescale
+    migration all call it.  *governor* is this shard's own (already
+    split) budget share, *state* a :meth:`PJoin.snapshot_state` payload
+    to restore, *now* the virtual clock to resume at and *arm* a hook
+    applied to the join before its first delivery.  With *schedules*
+    ``None`` nothing runs and the join stays quiet.
+
+    Returns the join and the slice's plain-dict outcome.
     """
     plan = QueryPlan()
+    plan.engine.now = now
     join = PJoin(
         plan.engine,
         plan.cost_model,
@@ -125,13 +143,18 @@ def run_shard_simulation(
         name=f"{name}.shard{shard_index}",
         governor=governor,
     )
+    if state is not None:
+        join.restore_state(state)
     sink = Sink(plan.engine, plan.cost_model, keep_items=keep_items)
     join.connect(sink)
-    plan.add_source(schedule_a, join, port=0, name=f"A{shard_index}")
-    plan.add_source(schedule_b, join, port=1, name=f"B{shard_index}")
-    plan.run()
+    if arm is not None:
+        arm(join)
+    if schedules is not None:
+        plan.add_source(schedules[0], join, port=0, name=f"A{shard_index}")
+        plan.add_source(schedules[1], join, port=1, name=f"B{shard_index}")
+        plan.run()
     out_join_index = join.join_indices[0]
-    return {
+    return join, {
         "shard": shard_index,
         "results": [(tup.values, tup.ts) for tup in sink.results]
         if keep_items else None,
@@ -175,8 +198,10 @@ class ShardedRunOutcome:
         self.results.sort(key=lambda r: r[1])
         # Merged output punctuations via ledger replay.
         ledger = AlignmentLedger()
-        for _ts, _side, pattern, cover in plan.registrations:
-            ledger.register(pattern, cover)
+        subscriptions = [
+            (side, ledger.register(pattern, cover))
+            for _ts, side, pattern, cover in plan.registrations
+        ]
         arrivals = []
         for outcome in self.shard_outcomes:
             for index, (pattern, ts) in enumerate(outcome["punctuations"]):
@@ -190,6 +215,12 @@ class ShardedRunOutcome:
                 self.punctuations_unaligned += 1
             elif original is not None:
                 self.punctuations.append((original, ts))
+        # (side, original) of every promise some covering shard has not
+        # propagated its piece of: what a rescale re-delivers.
+        self.unsettled: List[PyTuple[int, Any]] = [
+            (side, sub.original) for side, sub in subscriptions
+            if sub is not None and sub.remaining
+        ]
 
     def result_multiset(self) -> Dict[tuple, int]:
         counts: Dict[tuple, int] = {}
@@ -205,93 +236,142 @@ class ShardedRunOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Worker-process plumbing (fork + pipe; workers idle until released)
+# Fork-and-wait supervision (inline where fork is unavailable)
 # ---------------------------------------------------------------------------
 
+_CRASH_EXIT_CODE = 23
 
-def _shard_worker_main(conn, shard_index, schedule_a, schedule_b, workload,
-                       config, keep_items, governor=None) -> None:
-    """Worker loop: run the inherited slice once per ``"go"`` message."""
-    try:
-        while True:
-            message = conn.recv()
-            if message != "go":
-                break
-            outcome = run_shard_simulation(
-                shard_index, schedule_a, schedule_b, workload, config,
-                keep_items, governor=governor,
-            )
-            conn.send(outcome)
-    finally:
-        conn.close()
+# A shard job runs in a worker: it takes ``send`` for progress messages
+# and returns the shard's outcome.
+Job = Callable[[Callable[[Any], None]], Dict[str, Any]]
+
+
+class SimulatedCrash(Exception):
+    """A seeded worker death: a forked worker exits without reporting."""
 
 
 def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-class ShardWorkerPool:
-    """K forked shard workers, each parked on a pipe until released.
+def _worker_main(conn: Any, job: Job) -> None:
+    """Run *job* in a forked worker and report back over *conn*.
 
-    Created outside a timed window (process start-up and payload
-    transfer-by-fork are setup, not simulation); :meth:`run` releases
-    every worker and gathers the shard outcomes, so a wall clock around
-    it times only simulation work plus the small outcome pickles.
+    A :class:`SimulatedCrash` calls ``os._exit``: the pipe closes with
+    no message, exactly like a real worker death.  Any other exception
+    is reported with its type, message and traceback.
+    """
+    try:
+        outcome = job(lambda message: conn.send(("progress", message)))
+    except SimulatedCrash:
+        os._exit(_CRASH_EXIT_CODE)
+    except BaseException as exc:
+        conn.send(("error", type(exc).__name__, str(exc),
+                   traceback.format_exc()))
+    else:
+        conn.send(("done", outcome))
+    finally:
+        conn.close()
+
+
+def _worker_failed(shard: int, error: str, message: str, trace: str) -> ShardWorkerError:
+    return ShardWorkerError(
+        f"shard {shard} worker raised {error}: {message}\n{trace}"
+    )
+
+
+def run_shard_workers(
+    jobs: Sequence[Job],
+    on_message: Optional[Callable[[int, Any], None]] = None,
+    on_death: Optional[Callable[[int], Job]] = None,
+) -> List[Dict[str, Any]]:
+    """Run ``jobs[i]`` as shard *i*'s worker; return outcomes in shard order.
+
+    Each job runs in a forked process, so its payload transfers by
+    inheritance.  A progress message reaches ``on_message(shard,
+    message)`` in the parent.  A worker that raises stops the run at
+    once with :class:`~repro.errors.ShardWorkerError`.  A worker that
+    dies without reporting is handed to ``on_death(shard)``, which
+    returns the job to respawn it with or raises; without *on_death* a
+    death raises :class:`~repro.errors.ShardWorkerError`.
+
+    Where ``fork`` is unavailable the jobs run in-process, one after
+    the other, with the same semantics: messages are copied as the
+    pipe would copy them and a :class:`SimulatedCrash` counts as a
+    death.  Same outcome, no parallelism.
     """
 
-    def __init__(
-        self,
-        plan: ShardPlan,
-        config: Optional[PJoinConfig] = None,
-        keep_items: bool = False,
-        governor: Optional[GovernorSpec] = None,
-    ) -> None:
-        self.plan = plan
-        self.config = config
-        self.keep_items = keep_items
-        self.governor = governor
-        shard_governors = (
-            governor.split(plan.n_shards) if governor is not None
-            else [None] * plan.n_shards
-        )
-        ctx = multiprocessing.get_context("fork")
-        self._conns = []
-        self._procs = []
-        for shard in range(plan.n_shards):
-            parent_conn, child_conn = ctx.Pipe()
-            schedule_a, schedule_b = plan.schedules[shard]
-            proc = ctx.Process(
-                target=_shard_worker_main,
-                args=(child_conn, shard, schedule_a, schedule_b,
-                      plan.workload, config, keep_items,
-                      shard_governors[shard]),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
+    def respawn(shard: int) -> Job:
+        if on_death is None:
+            raise ShardWorkerError(f"shard {shard} worker died without reporting")
+        return on_death(shard)
 
-    def run(self) -> ShardedRunOutcome:
-        """Release every worker, gather outcomes, merge deterministically."""
-        for conn in self._conns:
-            conn.send("go")
-        outcomes = [conn.recv() for conn in self._conns]
-        return ShardedRunOutcome(self.plan, outcomes)
+    def deliver(shard: int, message: Any) -> None:
+        if on_message is not None:
+            on_message(shard, message)
 
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send("stop")
-                conn.close()
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - defensive
+    if not fork_available():
+        outcomes: List[Dict[str, Any]] = []
+        for shard, job in enumerate(jobs):
+            def send(message: Any, shard: int = shard) -> None:
+                deliver(shard, pickle.loads(pickle.dumps(message)))
+
+            while True:
+                try:
+                    outcomes.append(job(send))
+                    break
+                except SimulatedCrash:
+                    job = respawn(shard)
+                except Exception as exc:
+                    raise _worker_failed(
+                        shard, type(exc).__name__, str(exc),
+                        traceback.format_exc(),
+                    ) from exc
+        return outcomes
+
+    ctx = multiprocessing.get_context("fork")
+    conns: Dict[int, Any] = {}
+    procs: Dict[int, Any] = {}
+
+    def spawn(shard: int, job: Job) -> None:
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=_worker_main, args=(child_conn, job), daemon=True)
+        proc.start()
+        child_conn.close()
+        conns[shard] = parent_conn
+        procs[shard] = proc
+
+    for shard, job in enumerate(jobs):
+        spawn(shard, job)
+    done: Dict[int, Dict[str, Any]] = {}
+    try:
+        while len(done) < len(jobs):
+            pending = {conn: shard for shard, conn in conns.items() if shard not in done}
+            for conn in connection_wait(list(pending)):
+                shard = pending[conn]
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    conn.close()
+                    procs[shard].join()
+                    spawn(shard, respawn(shard))
+                    continue
+                if message[0] == "progress":
+                    deliver(shard, message[1])
+                elif message[0] == "done":
+                    done[shard] = message[1]
+                else:
+                    raise _worker_failed(shard, *message[1:])
+    finally:
+        for conn in conns.values():
+            conn.close()
+        for shard, proc in procs.items():
+            if shard in done:
+                proc.join(timeout=5.0)
+            if proc.is_alive():  # unreported after a failure, or hung
                 proc.terminate()
-        self._conns = []
-        self._procs = []
+                proc.join()
+    return [done[shard] for shard in range(len(jobs))]
 
 
 def run_sharded_multiprocess(
@@ -304,29 +384,17 @@ def run_sharded_multiprocess(
     """Plan, fork, run and merge one sharded PJoin over *workload*.
 
     *governor* is the **global** budget; each shard receives its split
-    share, so the per-shard budgets sum to the global one.  Falls back
-    to sequential in-process shard simulations where ``fork`` is
-    unavailable — identical outcome, no parallelism.
+    share, so the per-shard budgets sum to the global one.
     """
     plan = ShardPlan(workload, n_shards)
-    if not fork_available():  # pragma: no cover - non-POSIX fallback
-        shard_governors = (
-            governor.split(n_shards) if governor is not None
-            else [None] * n_shards
-        )
-        outcomes = [
-            run_shard_simulation(
-                shard, plan.schedules[shard][0], plan.schedules[shard][1],
-                workload, config, keep_items,
-                governor=shard_governors[shard],
-            )
-            for shard in range(n_shards)
-        ]
-        return ShardedRunOutcome(plan, outcomes)
-    pool = ShardWorkerPool(
-        plan, config=config, keep_items=keep_items, governor=governor
+    governors = shard_governors(governor, n_shards)
+
+    def job(shard: int) -> Job:
+        return lambda send: run_shard_slice(
+            shard, plan.schedules[shard], workload, config, keep_items,
+            governor=governors[shard],
+        )[1]
+
+    return ShardedRunOutcome(
+        plan, run_shard_workers([job(shard) for shard in range(n_shards)])
     )
-    try:
-        return pool.run()
-    finally:
-        pool.close()

@@ -210,7 +210,7 @@ class ShardedJoin:
 # ---------------------------------------------------------------------------
 
 
-def _shard_governors(
+def shard_governors(
     governor: Optional[GovernorSpec], n_shards: int
 ) -> List[Optional[GovernorSpec]]:
     """Per-shard governor specs (budgets summing to the global)."""
@@ -241,7 +241,7 @@ def sharded_pjoin(
     stock hash router for the hot-key-replicating
     :class:`~repro.skew.router.HotKeyShardRouter`.
     """
-    shard_specs = iter(_shard_governors(governor, n_shards))
+    shard_specs = iter(shard_governors(governor, n_shards))
 
     def build(eng: SimulationEngine, costs: CostModel, shard_name: str) -> PJoin:
         return PJoin(
@@ -288,7 +288,7 @@ def sharded_xjoin(
     governor: Optional[GovernorSpec] = None,
 ) -> ShardedJoin:
     """A sharded XJoin comparator."""
-    shard_specs = iter(_shard_governors(governor, n_shards))
+    shard_specs = iter(shard_governors(governor, n_shards))
 
     def build(eng: SimulationEngine, costs: CostModel, shard_name: str) -> XJoin:
         return XJoin(
@@ -315,7 +315,7 @@ def sharded_shj(
     governor: Optional[GovernorSpec] = None,
 ) -> ShardedJoin:
     """A sharded symmetric hash join."""
-    shard_specs = iter(_shard_governors(governor, n_shards))
+    shard_specs = iter(shard_governors(governor, n_shards))
 
     def build(
         eng: SimulationEngine, costs: CostModel, shard_name: str

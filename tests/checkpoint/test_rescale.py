@@ -12,10 +12,13 @@ from collections import Counter
 
 import pytest
 
+from repro.checkpoint import recovery
 from repro.checkpoint.rescale import RescalePlan, run_sharded_rescale
 from repro.core.config import PJoinConfig
 from repro.errors import RecoveryError
 from repro.experiments.harness import pjoin_factory, run_join_experiment
+from repro.memory.budget import GovernorSpec
+from repro.shard import backend
 from repro.workloads.generator import generate_workload
 
 
@@ -94,6 +97,28 @@ class TestRescaleEquivalence:
         assert Counter(early.result_multiset()) == Counter(base_results)
         assert Counter(late.result_multiset()) == Counter(base_results)
         assert early.counters["rescale.cut_ts"] < late.counters["rescale.cut_ts"]
+
+    def test_segment_counters_sum_over_both_phases(self, workload, monkeypatch):
+        # Each segment of either phase runs a fresh disk and governor;
+        # the merged outcome reports the work of all of them.
+        segments = []
+
+        def spy(*args, **kwargs):
+            join, out = backend.run_shard_slice(*args, **kwargs)
+            segments.append(out["counters"])
+            return join, out
+
+        monkeypatch.setattr(recovery, "run_shard_slice", spy)
+        outcome = run_sharded_rescale(
+            workload,
+            RescalePlan(2, 3, workload.end_time / 2),
+            config=PJoinConfig(purge_threshold=1),
+            governor=GovernorSpec(40),
+            checkpoint_every=2,
+        )
+        assert outcome.counters["governor.spills"] > 0
+        for key in ("disk.tuples_written", "governor.spills", "governor.faults"):
+            assert outcome.counters[key] == sum(s[key] for s in segments), key
 
     def test_no_boundary_after_cut_time_raises(self, workload):
         with pytest.raises(RecoveryError, match="boundary"):

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.config import PJoinConfig
+from repro.errors import ShardWorkerError
 from repro.experiments.harness import pjoin_factory, run_join_experiment
+from repro.shard import backend
 from repro.shard.backend import (
     ShardPlan,
-    ShardWorkerPool,
     fork_available,
-    run_shard_simulation,
+    run_shard_slice,
     run_sharded_multiprocess,
 )
 from repro.tuples.tuple import Tuple
@@ -93,31 +94,51 @@ class TestMultiprocessEquivalence:
         assert times == sorted(times)
 
 
-class TestWorkerPool:
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_pool_is_reusable_and_deterministic(self, workload):
-        plan = ShardPlan(workload, 2)
-        pool = ShardWorkerPool(plan, config=CONFIG, keep_items=False)
-        try:
-            first = pool.run()
-            second = pool.run()
-        finally:
-            pool.close()
-        assert first.result_count == second.result_count
+class TestShardWorkers:
+    def test_repeated_runs_are_identical(self, workload):
+        first = run_sharded_multiprocess(workload, 2, config=CONFIG)
+        second = run_sharded_multiprocess(workload, 2, config=CONFIG)
+        assert first.results == second.results
         assert first.events == second.events
         assert first.counters == second.counters
 
-    def test_inline_worker_matches_pool_worker(self, workload):
-        # run_shard_simulation is the exact function the forked workers
+    def test_inline_slice_matches_forked_worker(self, workload):
+        # run_shard_slice is the exact function the forked workers
         # execute; running it inline must give the same outcome.
         plan = ShardPlan(workload, 2)
         inline = [
-            run_shard_simulation(
-                shard, plan.schedules[shard][0], plan.schedules[shard][1],
-                workload, CONFIG, True,
-            )
+            run_shard_slice(shard, plan.schedules[shard], workload, CONFIG)[1]
             for shard in range(2)
         ]
         outcome = run_sharded_multiprocess(workload, 2, config=CONFIG)
-        assert sum(o["result_count"] for o in inline) == outcome.result_count
-        assert sum(o["events"] for o in inline) == outcome.events
+        assert outcome.shard_outcomes == inline
+
+    def test_without_fork_runs_inline_with_same_outcome(
+        self, workload, monkeypatch
+    ):
+        forked = run_sharded_multiprocess(workload, 2, config=CONFIG)
+        monkeypatch.setattr(backend, "fork_available", lambda: False)
+        inline = run_sharded_multiprocess(workload, 2, config=CONFIG)
+        assert inline.shard_outcomes == forked.shard_outcomes
+        assert inline.punctuations == forked.punctuations
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "inline"])
+    def test_worker_error_is_reported(self, workload, monkeypatch, fork):
+        # Patched before the fork, so the forked worker inherits it.
+        real = backend.run_shard_slice
+
+        def failing(shard, *args, **kwargs):
+            if shard == 0:
+                raise ValueError("boom")
+            return real(shard, *args, **kwargs)
+
+        monkeypatch.setattr(backend, "run_shard_slice", failing)
+        if not fork:
+            monkeypatch.setattr(backend, "fork_available", lambda: False)
+        elif not fork_available():
+            pytest.skip("needs fork")
+        with pytest.raises(ShardWorkerError) as info:
+            run_sharded_multiprocess(workload, 2, config=CONFIG)
+        message = str(info.value)
+        assert message.startswith("shard 0 worker raised ValueError: boom")
+        assert "Traceback" in message
